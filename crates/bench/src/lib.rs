@@ -1,10 +1,9 @@
 //! # pva-bench — data generation for every table and figure
 //!
 //! Each table/figure of the paper's evaluation has one data-generation
-//! function here, shared by a regeneration binary (`src/bin/…`, prints
-//! the series) and a criterion bench (`benches/figures.rs`, measures the
-//! simulation itself). See `EXPERIMENTS.md` for the paper-vs-measured
-//! record.
+//! function here, run as a scenario of the `pva-bench` CLI, which prints
+//! the series and records each cell's simulation wall time. See
+//! `EXPERIMENTS.md` for the paper-vs-measured record.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -247,7 +247,7 @@ pub struct BankController {
     /// unit's next-event fast path immediately after the tick.
     wake_hint: Option<u64>,
     /// Scratch for [`schedule`](BankController::schedule)'s per-VC
-    /// target list (reused across cycles when `fast_sim` is on).
+    /// target list (capacity reused across cycles).
     targets_scratch: Vec<(u32, u64, u64)>,
     /// Scratch for the per-cycle issue-window index list.
     window_scratch: Vec<usize>,
@@ -258,8 +258,8 @@ pub struct BankController {
     /// fast path applies the increment arithmetically per skipped
     /// cycle in [`advance`](BankController::advance).
     replay_row_hits: u64,
-    /// FIFO entries still waiting on the FHC multiply-add; lets the
-    /// fast path skip the per-cycle FIFO scan once all are ready.
+    /// FIFO entries still waiting on the FHC multiply-add; lets a tick
+    /// skip the FIFO scan once all are ready.
     fhc_pending: usize,
     /// Trace events accumulated since the last drain (only populated
     /// when `config.record_trace`).
@@ -460,39 +460,42 @@ impl BankController {
     pub fn tick(&mut self, now: u64, txns: &mut TransactionTable) -> bool {
         // Fully idle controllers dominate single-bank strides (15 of 16
         // every cycle on stride 16). With nothing queued and the device
-        // at rest the full tick below is provably a no-op, so only the
-        // clock and the wake hint need maintaining.
-        if self.config.fast_sim && self.quiet() {
+        // at rest the full tick is provably a no-op, so only the clock
+        // and the wake hint need maintaining (a unit test pins the two
+        // forms equal).
+        if self.quiet() {
             self.replay_row_hits = 0;
             self.wake_hint = self.compute_wake(now);
             self.device.tick();
             return false;
         }
+        self.tick_full(now, txns)
+    }
 
+    /// The body of [`tick`](BankController::tick) for a controller that
+    /// is not [`quiet`](BankController::quiet).
+    fn tick_full(&mut self, now: u64, txns: &mut TransactionTable) -> bool {
         let mut did_work = false;
 
         // 1. Return data that reached the pins this cycle. Poisoned
         //    words (ECC-uncorrectable or hard-failed bank) are retried
         //    with exponential backoff up to the configured bound, then
         //    deposited flagged so the transaction still completes.
-        if self.config.fast_sim {
-            while let Some(ready) = self.device.pop_ready() {
-                self.handle_ready(ready, now, txns);
-                did_work = true;
-            }
-        } else {
-            for ready in self.device.take_ready_data() {
-                self.handle_ready(ready, now, txns);
-                did_work = true;
-            }
+        while let Some(ready) = self.device.pop_ready() {
+            self.handle_ready(ready, now, txns);
+            did_work = true;
         }
 
         // 2. FHC: one multiply-add in flight at a time, oldest first
         //    (the workptr scan of §5.2.2), overlapped with scheduling.
         //    The pending count proves the scan empty without walking
-        //    the FIFO (the fast path skips it; the reference model
-        //    keeps the per-cycle scan).
-        if self.fhc_pending > 0 || !self.config.fast_sim {
+        //    the FIFO.
+        debug_assert_eq!(
+            self.fhc_pending,
+            self.fifo.iter().filter(|e| !e.addr_ready).count(),
+            "FHC pending count diverged from the FIFO"
+        );
+        if self.fhc_pending > 0 {
             if let Some(entry) = self.fifo.iter_mut().find(|e| !e.addr_ready) {
                 entry.fhc_cycles_left = entry.fhc_cycles_left.saturating_sub(1);
                 if entry.fhc_cycles_left == 0 {
@@ -631,10 +634,10 @@ impl BankController {
                 txns.deposit_faulted(txn, element, ready.data);
             }
         } else {
-            // Clearing a retry record only matters if one exists; the
-            // fast path skips the hash on the (overwhelmingly common)
-            // clean-data return when no retries are outstanding at all.
-            if !self.config.fast_sim || !self.retry_attempts.is_empty() {
+            // Clearing a retry record only matters if one exists: skip
+            // the hash on the (overwhelmingly common) clean-data return
+            // when no retries are outstanding at all.
+            if !self.retry_attempts.is_empty() {
                 self.retry_attempts.remove(&(txn.0, element));
             }
             txns.deposit(txn, element, ready.data);
@@ -790,24 +793,17 @@ impl BankController {
     /// blocked contexts (oldest first), else issue the highest-priority
     /// ready read/write that respects the polarity rule.
     fn schedule(&mut self, txns: &mut TransactionTable) {
-        // Precompute VC targets. The fast path keeps the buffer's
-        // capacity across cycles; the reference path reallocates each
-        // call, preserving the original model for baseline measurement.
+        // Gather the cached VC targets into a buffer whose capacity is
+        // kept across cycles.
         let mut targets = std::mem::take(&mut self.targets_scratch);
         targets.clear();
-        if self.config.fast_sim {
-            targets.extend(self.vcs.iter().map(|vc| vc.target));
-            debug_assert!(
-                self.vcs.iter().all(|vc| vc.target == self.target_of(vc)),
-                "cached VC target diverged from a fresh mapping"
-            );
-        } else {
-            targets.extend(self.vcs.iter().map(|vc| self.target_of(vc)));
-        }
+        targets.extend(self.vcs.iter().map(|vc| vc.target));
+        debug_assert!(
+            self.vcs.iter().all(|vc| vc.target == self.target_of(vc)),
+            "cached VC target diverged from a fresh mapping"
+        );
         self.schedule_with(&targets, txns);
-        if self.config.fast_sim {
-            self.targets_scratch = targets;
-        }
+        self.targets_scratch = targets;
     }
 
     /// The body of [`schedule`](BankController::schedule), split so the
@@ -1345,6 +1341,7 @@ mod tests {
     use crate::command::OpKind;
     use crate::txn::{Transaction, TxnPhase};
     use pva_core::Vector;
+    use sdram::{DevicePreset, SdramConfig};
 
     fn controller(bank: usize) -> BankController {
         let cfg = PvaConfig::default();
@@ -1590,5 +1587,82 @@ mod tests {
             }
         }
         assert_eq!(bc.stats().turnarounds, 1);
+    }
+
+    #[test]
+    fn quiet_shortcut_matches_full_tick() {
+        // `tick` skips its full body on a quiet controller. Both loops of
+        // the unit take the shortcut, so the equivalence suite cannot see
+        // a divergence: compare the two forms directly, on every quiet
+        // cycle after a drained read+write batch (rows and, on DDR3, the
+        // channel timers have been used) and around sdr-refresh's
+        // periodic refreshes.
+        for preset in [
+            DevicePreset::Sdr100,
+            DevicePreset::SdrRefresh,
+            DevicePreset::Ddr3_1600,
+        ] {
+            let name = preset.name();
+            let cfg = PvaConfig {
+                sdram: SdramConfig::for_device(preset),
+                ..PvaConfig::default()
+            };
+            let pla = Arc::new(K1Pla::new(&cfg.geometry));
+            let mut bc = BankController::new(BankId::new(0), cfg, pla);
+            let mut txns = TransactionTable::new(8);
+            open_read_txn(&mut txns, TxnId(0), 8);
+            let line: Arc<Vec<u64>> = Arc::new((0..8).map(|i| 0xBB00 + i).collect());
+            txns.open(
+                TxnId(1),
+                Transaction {
+                    kind: OpKind::Write,
+                    length: 8,
+                    request_index: 1,
+                    issued_at: 0,
+                    collected: vec![],
+                    collected_count: 0,
+                    committed_count: 0,
+                    write_line: Some(line.clone()),
+                    faulted: Vec::new(),
+                    phase: TxnPhase::InBanks,
+                },
+            );
+            let read = VectorCommand {
+                vector: Vector::new(0, 16, 8).unwrap(),
+                kind: OpKind::Read,
+                txn: TxnId(0),
+            };
+            let write = VectorCommand {
+                vector: Vector::new(4096, 16, 8).unwrap(),
+                kind: OpKind::Write,
+                txn: TxnId(1),
+            };
+            bc.observe_command(&read, None, 0);
+            bc.observe_command(&write, Some(line), 0);
+            let mut compared = 0;
+            for now in 1..2_000 {
+                if bc.quiet() {
+                    let (mut short, mut full) = (bc.clone(), bc.clone());
+                    let short_work = short.tick(now, &mut txns.clone());
+                    let full_work = full.tick_full(now, &mut txns.clone());
+                    let at = format!("{name} cycle {now}");
+                    assert_eq!(short_work, full_work, "{at}: return value");
+                    assert_eq!(short.stats(), full.stats(), "{at}: controller stats");
+                    assert_eq!(
+                        short.device().stats(),
+                        full.device().stats(),
+                        "{at}: device stats"
+                    );
+                    assert_eq!(short.wake_hint(), full.wake_hint(), "{at}: wake hint");
+                    assert_eq!(short.device().now(), full.device().now(), "{at}: clock");
+                    compared += 1;
+                }
+                bc.tick(now, &mut txns);
+            }
+            for id in [TxnId(0), TxnId(1)] {
+                assert!(txns.get(id).unwrap().banks_done(), "{name}");
+            }
+            assert!(compared > 1_500, "{name}: {compared} quiet cycles");
+        }
     }
 }

@@ -163,12 +163,14 @@ pub struct PvaConfig {
     /// (serializing the two banks' subvector accesses through one row
     /// buffer) instead of poisoning every access.
     pub degradation: bool,
-    /// Simulator (not hardware) switch: enable the next-event fast path
-    /// — quiescent cycles are jumped in bulk instead of ticked one by
-    /// one, and per-cycle scratch buffers are reused instead of
-    /// reallocated. Cycle counts and statistics are identical either
-    /// way (the equivalence tests prove it); `false` keeps the plain
-    /// reference model for cross-checking and throughput baselines.
+    /// Simulator (not hardware) switch that selects the main loop and
+    /// nothing else: `true` runs the event-driven core, which jumps
+    /// quiescent cycles in bulk; `false` runs the reference stepper,
+    /// which ticks every component every cycle. Both loops call the same
+    /// component code, so cycle counts and statistics are identical
+    /// either way (the equivalence tests prove it). The reference
+    /// stepper stays as the cross-checking oracle and the throughput
+    /// baseline.
     pub fast_sim: bool,
 }
 

@@ -215,9 +215,11 @@ impl TransactionTable {
             .filter_map(|(i, s)| s.as_ref().map(|t| (TxnId(i as u8), t)))
     }
 
-    /// Number of open transactions.
+    /// Number of open transactions (maintained incrementally; asserted
+    /// equal to a slot scan in debug builds).
     pub fn open_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        debug_assert_eq!(self.open, self.slots.iter().filter(|s| s.is_some()).count());
+        self.open
     }
 
     /// Open transactions whose banks finished but whose phase
@@ -237,16 +239,15 @@ impl TransactionTable {
     /// O(1) progress counters `(open, moved)`: the open-transaction
     /// count and the summed `collected_count + committed_count` over
     /// them — exactly what a scan would compute, maintained
-    /// incrementally for the fast-path watchdog fingerprint.
+    /// incrementally for the watchdog fingerprint.
     pub fn progress_counters(&self) -> (usize, u64) {
-        debug_assert_eq!(self.open, self.open_count());
         debug_assert_eq!(
             self.moved,
             self.iter_open()
                 .map(|(_, t)| t.collected_count + t.committed_count)
                 .sum::<u64>()
         );
-        (self.open, self.moved)
+        (self.open_count(), self.moved)
     }
 }
 

@@ -128,13 +128,13 @@ pub struct PvaUnit {
     /// Progress fingerprint as of `last_progress`.
     progress_mark: (usize, usize, u64),
     /// Scratch for [`finish_transactions`](PvaUnit::finish_transactions)
-    /// (capacity reused across cycles when `fast_sim` is on).
+    /// (capacity reused across cycles).
     finish_scratch: Vec<(TxnId, OpKind)>,
     /// Reusable buffer for the controllers due at the executing cycle.
     due_scratch: Vec<u32>,
-    /// Count of read transactions in [`TxnPhase::ReadyToStage`] — lets
-    /// the fast path prove the staging-arbitration scan empty without
-    /// walking the transaction table every idle-bus cycle.
+    /// Count of read transactions in [`TxnPhase::ReadyToStage`] — proves
+    /// the staging-arbitration scan empty without walking the
+    /// transaction table every idle-bus cycle.
     ready_reads: usize,
     /// Pending per-controller wake-ups for the event-driven fast path.
     sched: EventQueue,
@@ -304,10 +304,10 @@ impl PvaUnit {
         self.bcs.iter().map(|bc| *bc.stats()).collect()
     }
 
-    /// How the event-driven fast path spent its time, cumulative over
-    /// every [`run`](PvaUnit::run)/[`run_until`](PvaUnit::run_until)
-    /// call on this unit. All-zero when the reference stepper ran
-    /// (`fast_sim` off).
+    /// How the event-driven core spent its time, cumulative over every
+    /// [`run`](PvaUnit::run)/[`run_until`](PvaUnit::run_until) call on
+    /// this unit. All-zero when the reference stepper is the main loop
+    /// ([`PvaConfig::fast_sim`] off).
     pub const fn event_stats(&self) -> &EventStats {
         &self.event_stats
     }
@@ -683,21 +683,10 @@ impl PvaUnit {
     /// SDRAM command counts — an unrecoverable retry loop issues reads
     /// forever without ever completing anything.
     fn progress_fingerprint(&self) -> (usize, usize, u64) {
-        if self.config.fast_sim {
-            // O(1) form of the scan below, from the transaction table's
-            // incrementally-maintained counters (asserted equal to a
-            // fresh scan in debug builds). The reference model keeps
-            // the per-cycle walk as the baseline cost.
-            let (open, moved) = self.txns.progress_counters();
-            let outstanding = self.pending.len() + open + self.write_broadcasts.len();
-            return (outstanding, open, moved);
-        }
-        let moved: u64 = self
-            .txns
-            .iter_open()
-            .map(|(_, t)| t.collected_count + t.committed_count)
-            .sum();
-        (self.outstanding(), self.txns.open_count(), moved)
+        // O(1), from the transaction table's incrementally-maintained
+        // counters (asserted equal to a fresh scan in debug builds).
+        let (open, moved) = self.txns.progress_counters();
+        (self.outstanding(), open, moved)
     }
 
     /// Whether all submitted work has fully completed.
@@ -790,10 +779,9 @@ impl PvaUnit {
                     return true;
                 }
                 // Priority 2: stage a completed read (drains txn ids).
-                // The fast path proves the scan empty from the
-                // ready-read counter; the reference model walks the
-                // table every idle-bus cycle.
-                let ready = if self.config.fast_sim && self.ready_reads == 0 {
+                // The ready-read counter proves the scan empty without
+                // walking the table.
+                let ready = if self.ready_reads == 0 {
                     debug_assert!(!self
                         .txns
                         .iter_open()
@@ -955,17 +943,15 @@ impl PvaUnit {
     /// Moves transactions whose banks finished into their next phase and
     /// completes writes. Returns whether any transaction moved.
     fn finish_transactions(&mut self) -> bool {
-        // The fast path proves the scan empty from the banks-done
-        // counter; the reference model walks the table every cycle.
-        if self.config.fast_sim && self.txns.banks_done_count() == 0 {
+        // The banks-done counter proves the scan empty without walking
+        // the table.
+        if self.txns.banks_done_count() == 0 {
             debug_assert!(!self
                 .txns
                 .iter_open()
                 .any(|(_, t)| t.phase == TxnPhase::InBanks && t.banks_done()));
             return false;
         }
-        // The fast path keeps the buffer's capacity across cycles; the
-        // reference path reallocates each call.
         let mut done = std::mem::take(&mut self.finish_scratch);
         done.clear();
         done.extend(
@@ -1003,9 +989,7 @@ impl PvaUnit {
                 }
             }
         }
-        if self.config.fast_sim {
-            self.finish_scratch = done;
-        }
+        self.finish_scratch = done;
         moved
     }
 }

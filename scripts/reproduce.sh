@@ -19,7 +19,7 @@ mkdir -p results
 # byte-for-byte before overwriting them, and gate the simulator's
 # fast-path speedup.
 cargo run -p pva-bench --release -- all --jobs "$JOBS" \
-  --verify results --min-speedup 1.1
+  --verify results --min-speedup 1.2
 cargo run -p pva-bench --release -- all --jobs "$JOBS" \
   --out results --json results
 
@@ -31,8 +31,5 @@ cargo run -p pva-bench --release --bin fault_campaign -- --smoke
 
 echo "== sweep csv =="
 cargo run --release --bin pva-explore -- sweep-csv results/sweep.csv
-
-echo "== criterion benches =="
-cargo bench -p pva-bench
 
 echo "done: see results/ and EXPERIMENTS.md"
