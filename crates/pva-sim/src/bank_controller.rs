@@ -214,7 +214,9 @@ pub struct BankController {
     config: PvaConfig,
     hit_logic: HitLogic,
     fifo: VecDeque<RfEntry>,
-    vcs: VecDeque<VectorContext>,
+    /// Active vector contexts, oldest first (at most
+    /// `vector_contexts`).
+    vcs: Vec<VectorContext>,
     device: Sdram,
     /// Last data-transfer direction on this bank's data bus.
     data_polarity: Option<OpKind>,
@@ -237,20 +239,23 @@ pub struct BankController {
     retries: Vec<PendingRetry>,
     /// Retry attempts so far per (transaction, element).
     retry_attempts: FastMap<(u8, u64), u32>,
-    /// Base and stride of each observed vector command, kept while its
-    /// transaction may still need element addresses recomputed for
-    /// retries.
-    vec_meta: FastMap<u8, (u64, u64)>,
+    /// Base and stride of the last vector command observed under each
+    /// transaction id (indexed by id), so a poisoned element's address
+    /// can be recomputed for its retry.
+    vec_meta: Vec<(u64, u64)>,
     /// When the last [`tick`](BankController::tick) did no work: the
     /// earliest future cycle at which this controller could act (`None`
     /// = no pending event, or the tick did work). Consumed by the
     /// unit's next-event fast path immediately after the tick.
     wake_hint: Option<u64>,
-    /// Scratch for [`schedule`](BankController::schedule)'s per-VC
-    /// target list (capacity reused across cycles).
-    targets_scratch: Vec<(u32, u64, u64)>,
-    /// Scratch for the per-cycle issue-window index list.
-    window_scratch: Vec<usize>,
+    /// The issue window of the last scheduling pass (see
+    /// [`build_issue_window`](BankController::build_issue_window)).
+    /// It depends only on the contexts and the bus polarity, so it is
+    /// rebuilt only after one of them changes.
+    window: Vec<usize>,
+    /// Whether a context or the bus polarity changed since `window`
+    /// was built.
+    window_stale: bool,
     /// Per-cycle `row_hits` increment of the last tick, when that tick
     /// changed *nothing but* the row-hit counter (a blocked access
     /// observing its open row). Such a tick replays identically — same
@@ -289,7 +294,7 @@ impl BankController {
             config,
             hit_logic,
             fifo: VecDeque::new(),
-            vcs: VecDeque::new(),
+            vcs: Vec::new(),
             device,
             data_polarity: None,
             last_cas_group: None,
@@ -300,10 +305,10 @@ impl BankController {
             stats: BcStats::default(),
             retries: Vec::new(),
             retry_attempts: FastMap::default(),
-            vec_meta: FastMap::default(),
+            vec_meta: vec![(0, 0); config.transaction_ids],
             wake_hint: None,
-            targets_scratch: Vec::new(),
-            window_scratch: Vec::new(),
+            window: Vec::new(),
+            window_stale: true,
             replay_row_hits: 0,
             fhc_pending: 0,
             events: Vec::new(),
@@ -382,9 +387,8 @@ impl BankController {
         let v = &cmd.vector;
         // Remember the vector's base/stride so a poisoned element can be
         // re-expanded into a retry context later (recorded even on a
-        // miss: the map is keyed by the 8-bit transaction id, so it
-        // stays bounded).
-        self.vec_meta.insert(cmd.txn.0, (v.base(), v.stride()));
+        // miss, overwriting the id's previous command).
+        self.vec_meta[cmd.txn.0 as usize] = (v.base(), v.stride());
         let (first, index_delta, count, indices) = match &self.hit_logic {
             HitLogic::Word(pla) => {
                 let first = match pla.first_hit(v, self.bank) {
@@ -513,7 +517,7 @@ impl BankController {
             if let Some(pos) = self.retries.iter().position(|r| r.not_before <= now) {
                 let r = self.retries.swap_remove(pos);
                 let target = self.target_of_addr(r.addr);
-                self.vcs.push_back(VectorContext {
+                self.vcs.push(VectorContext {
                     txn: r.txn,
                     kind: OpKind::Read,
                     addr: r.addr,
@@ -529,6 +533,7 @@ impl BankController {
                     stride: 0,
                     target,
                 });
+                self.window_stale = true;
                 did_work = true;
             }
         }
@@ -548,7 +553,7 @@ impl BankController {
                     None => (v.length() - e.first_index).div_ceil(e.index_delta),
                 };
                 let target = self.target_of_addr(e.first_addr);
-                self.vcs.push_back(VectorContext {
+                self.vcs.push(VectorContext {
                     txn: e.cmd.txn,
                     kind: e.cmd.kind,
                     addr: e.first_addr,
@@ -564,6 +569,7 @@ impl BankController {
                     stride: v.stride(),
                     target,
                 });
+                self.window_stale = true;
                 did_work = true;
             }
         }
@@ -617,7 +623,7 @@ impl BankController {
             let key = (txn.0, element);
             let attempts = self.retry_attempts.get(&key).copied().unwrap_or(0);
             if attempts < self.config.max_read_retries {
-                let (base, stride) = self.vec_meta[&txn.0];
+                let (base, stride) = self.vec_meta[txn.0 as usize];
                 let backoff =
                     (self.config.retry_backoff_cycles as u64) << attempts.min(MAX_BACKOFF_SHIFT);
                 self.retry_attempts.insert(key, attempts + 1);
@@ -689,7 +695,7 @@ impl BankController {
         // candidate. Waking on *any* armed timer would also be correct
         // but triggers a no-op tick per unrelated expiry.
         for vc in &self.vcs {
-            let (ib, row, _) = self.target_of(vc);
+            let (ib, row, _) = vc.target;
             let at = match self.device.open_row(ib) {
                 None => self.device.activate_ready_at(ib),
                 Some(open) if open == row => self.device.access_ready_at(ib),
@@ -760,13 +766,8 @@ impl BankController {
         true
     }
 
-    /// Internal-bank/row/column coordinates of a context's current
-    /// element, after any degradation remap.
-    fn target_of(&self, vc: &VectorContext) -> (u32, u64, u64) {
-        self.target_of_addr(vc.addr)
-    }
-
-    /// [`target_of`](BankController::target_of) for a raw word address.
+    /// Internal-bank/row/column coordinates of word address `addr`,
+    /// after any degradation remap.
     fn target_of_addr(&self, addr: u64) -> (u32, u64, u64) {
         let local = self.config.geometry.bank_local_addr(addr);
         self.remap(self.config.sdram.map(local))
@@ -793,45 +794,42 @@ impl BankController {
     /// blocked contexts (oldest first), else issue the highest-priority
     /// ready read/write that respects the polarity rule.
     fn schedule(&mut self, txns: &mut TransactionTable) {
-        // Gather the cached VC targets into a buffer whose capacity is
-        // kept across cycles.
-        let mut targets = std::mem::take(&mut self.targets_scratch);
-        targets.clear();
-        targets.extend(self.vcs.iter().map(|vc| vc.target));
         debug_assert!(
-            self.vcs.iter().all(|vc| vc.target == self.target_of(vc)),
+            self.vcs
+                .iter()
+                .all(|vc| vc.target == self.target_of_addr(vc.addr)),
             "cached VC target diverged from a fresh mapping"
         );
-        self.schedule_with(&targets, txns);
-        self.targets_scratch = targets;
-    }
-
-    /// The body of [`schedule`](BankController::schedule), split so the
-    /// target list can live outside `self` during the borrow.
-    fn schedule_with(&mut self, targets: &[(u32, u64, u64)], txns: &mut TransactionTable) {
         // Polarity rule of §5.2.4: a VC may issue a read/write only if no
         // older VC carries the opposite direction (channel-aware parts
         // relax this for provably disjoint contexts — see
         // `build_issue_window`). Computed up front: phase A must know
         // which VCs can actually consume an open row.
-        let mut win = std::mem::take(&mut self.window_scratch);
-        win.clear();
-        self.build_issue_window(&mut win);
-        self.schedule_in_window(targets, &win, txns);
-        self.window_scratch = win;
+        let mut win = std::mem::take(&mut self.window);
+        if self.window_stale {
+            win.clear();
+            self.build_issue_window(&mut win);
+            self.window_stale = false;
+        }
+        #[cfg(debug_assertions)]
+        {
+            let mut fresh = Vec::new();
+            self.build_issue_window(&mut fresh);
+            assert_eq!(
+                win, fresh,
+                "cached issue window diverged from a fresh build"
+            );
+        }
+        self.schedule_in_window(&win, txns);
+        self.window = win;
     }
 
-    /// [`schedule_with`](BankController::schedule_with) continued, with
-    /// the issue window materialized as VC indices (oldest first).
-    fn schedule_in_window(
-        &mut self,
-        targets: &[(u32, u64, u64)],
-        window: &[usize],
-        txns: &mut TransactionTable,
-    ) {
+    /// [`schedule`](BankController::schedule) continued, with the issue
+    /// window materialized as VC indices (oldest first).
+    fn schedule_in_window(&mut self, window: &[usize], txns: &mut TransactionTable) {
         // tFAW-aware activate pacing (generation-aware policy): decided
         // once per cycle, before phase A runs.
-        let defer = self.gen_aware() && self.should_defer_activate(targets, window);
+        let defer = self.gen_aware() && self.should_defer_activate(window);
         let mut defer_counted = false;
 
         // Phase A: row opens / precharges for blocked VCs ("promote row
@@ -843,9 +841,9 @@ impl BankController {
         // from re-activating the row the window just precharged (a
         // livelock otherwise). With the classic prefix window the
         // order is exactly age order, as before.
-        if self.config.options.promote_opens || self.first_ready(targets, window).is_none() {
+        if self.config.options.promote_opens || self.first_ready(window).is_none() {
             for &i in window {
-                if self.try_row_management(i, targets, window, defer, &mut defer_counted) {
+                if self.try_row_management(i, window, defer, &mut defer_counted) {
                     return;
                 }
             }
@@ -853,7 +851,7 @@ impl BankController {
                 if window.contains(&i) {
                     continue;
                 }
-                if self.try_row_management(i, targets, window, defer, &mut defer_counted) {
+                if self.try_row_management(i, window, defer, &mut defer_counted) {
                     return;
                 }
             }
@@ -873,15 +871,15 @@ impl BankController {
         };
         if let Some(last) = switch_from {
             for &i in window {
-                if self.config.sdram.bank_group_of(targets[i].0) != last
-                    && self.try_issue_access(i, targets, txns)
+                if self.config.sdram.bank_group_of(self.vcs[i].target.0) != last
+                    && self.try_issue_access(i, txns)
                 {
                     return;
                 }
             }
             for &i in window {
-                if self.config.sdram.bank_group_of(targets[i].0) == last
-                    && self.try_issue_access(i, targets, txns)
+                if self.config.sdram.bank_group_of(self.vcs[i].target.0) == last
+                    && self.try_issue_access(i, txns)
                 {
                     return;
                 }
@@ -889,7 +887,7 @@ impl BankController {
             return;
         }
         for &i in window {
-            if self.try_issue_access(i, targets, txns) {
+            if self.try_issue_access(i, txns) {
                 return;
             }
         }
@@ -902,12 +900,11 @@ impl BankController {
     fn try_row_management(
         &mut self,
         i: usize,
-        targets: &[(u32, u64, u64)],
         window: &[usize],
         defer: bool,
         defer_counted: &mut bool,
     ) -> bool {
-        let (ib, row, _) = targets[i];
+        let (ib, row, _) = self.vcs[i].target;
         match self.device.open_row(ib) {
             None => {
                 // Don't burn the tFAW window's last free slot while a
@@ -928,7 +925,7 @@ impl BankController {
                     // new vector context (§5.2.2), using the last row
                     // open *before* this activate.
                     if !self.vcs[i].first_op_done {
-                        self.set_predictor(i, ib, row);
+                        self.set_predictor(ib, row);
                         self.vcs[i].first_op_done = true;
                     }
                     self.last_row[ib as usize] = Some(row);
@@ -943,9 +940,10 @@ impl BankController {
                 // the open row — do not close it. VCs outside the
                 // window cannot consume the row yet, and honouring
                 // their hits could deadlock against the polarity rule.
-                let other_hits = window
-                    .iter()
-                    .any(|&j| j != i && targets[j].0 == ib && targets[j].1 == open);
+                let other_hits = window.iter().any(|&j| {
+                    let (jb, jrow, _) = self.vcs[j].target;
+                    j != i && jb == ib && jrow == open
+                });
                 let cmd = SdramCmd::Precharge { bank: ib };
                 if !other_hits && self.device.issue(cmd).is_ok() {
                     self.log_op(CmdClass::Precharge, ib, open);
@@ -976,7 +974,7 @@ impl BankController {
     /// structure and keep strict arrival order, bit-identical to the
     /// goldens.
     fn build_issue_window(&self, win: &mut Vec<usize>) {
-        let Some(front) = self.vcs.front().map(|vc| vc.kind) else {
+        let Some(front) = self.vcs.first().map(|vc| vc.kind) else {
             return;
         };
         if !self.config.options.out_of_order {
@@ -1071,9 +1069,9 @@ impl BankController {
     /// polarity window has a CAS that is timing-legal right now.
     /// Deferring lets the CAS through this cycle; the activate stream
     /// loses at most the one cycle it must eventually spend waiting on
-    /// the window anyway. Never true when tFAW is 0 (the slots read 0
-    /// free... all four free) or while tRRD gates activates regardless.
-    fn should_defer_activate(&self, targets: &[(u32, u64, u64)], window: &[usize]) -> bool {
+    /// the window anyway. Never true when tFAW is 0 (there is no window
+    /// to exhaust) or while tRRD gates activates regardless.
+    fn should_defer_activate(&self, window: &[usize]) -> bool {
         if self.config.sdram.t_faw == 0 || self.device.channel_rrd_remaining() > 0 {
             return false;
         }
@@ -1088,7 +1086,7 @@ impl BankController {
         }
         let now = self.device.now();
         window.iter().any(|&i| {
-            let (ib, row, _) = targets[i];
+            let (ib, row, _) = self.vcs[i].target;
             self.device.open_row(ib) == Some(row) && self.device.access_ready_at(ib) <= now
         })
     }
@@ -1122,13 +1120,8 @@ impl BankController {
     /// (possibly burst-coalesced) CAS and advance the context, or
     /// decline. Returns whether the scheduling pass is done for this
     /// cycle (`false` = nothing happened, try the next candidate).
-    fn try_issue_access(
-        &mut self,
-        i: usize,
-        targets: &[(u32, u64, u64)],
-        txns: &mut TransactionTable,
-    ) -> bool {
-        let (ib, row, col) = targets[i];
+    fn try_issue_access(&mut self, i: usize, txns: &mut TransactionTable) -> bool {
+        let (ib, row, col) = self.vcs[i].target;
         if self.device.open_row(ib) != Some(row) {
             return false;
         }
@@ -1139,6 +1132,7 @@ impl BankController {
                 self.turnaround_left = self.config.turnaround_cycles;
                 self.stats.turnarounds += 1;
                 self.data_polarity = Some(kind);
+                self.window_stale = true;
                 return true;
             }
         }
@@ -1160,7 +1154,7 @@ impl BankController {
             Some((next_addr, self.target_of_addr(next_addr)))
         };
         let next_same_row = next.map(|(_, t)| t.0 == ib && t.1 == row);
-        let auto = self.decide_auto_precharge(i, ib, row, targets, next_same_row);
+        let auto = self.decide_auto_precharge(i, ib, row, next_same_row);
         let txn = self.vcs[i].txn;
         let element = self.vcs[i].element;
         let issued = if k > 1 {
@@ -1222,10 +1216,12 @@ impl BankController {
             (OpKind::Write, true) => CmdClass::WriteAuto,
         };
         if !self.vcs[i].first_op_done {
-            self.set_predictor(i, ib, row);
+            self.set_predictor(ib, row);
             self.vcs[i].first_op_done = true;
         }
         self.data_polarity = Some(kind);
+        // The CAS advances or retires context `i`.
+        self.window_stale = true;
         // Channel bookkeeping for the group-interleave preference.
         let group = self.config.sdram.bank_group_of(ib);
         if self.last_cas_group.is_some_and(|prev| prev != group) {
@@ -1276,9 +1272,9 @@ impl BankController {
     /// promotion is disabled. A "ready" VC outside the polarity window
     /// cannot actually issue, so it must not suppress row management
     /// (doing so deadlocks).
-    fn first_ready(&self, targets: &[(u32, u64, u64)], window: &[usize]) -> Option<usize> {
+    fn first_ready(&self, window: &[usize]) -> Option<usize> {
         window.iter().copied().find(|&i| {
-            let (ib, row, _) = targets[i];
+            let (ib, row, _) = self.vcs[i].target;
             self.device.open_row(ib) == Some(row)
         })
     }
@@ -1290,17 +1286,21 @@ impl BankController {
         vc_idx: usize,
         ib: u32,
         row: u64,
-        targets: &[(u32, u64, u64)],
         next_same_row: Option<bool>,
     ) -> bool {
+        let others = || {
+            self.vcs
+                .iter()
+                .enumerate()
+                .filter(move |&(j, vc)| j != vc_idx && vc.target.0 == ib)
+                .map(|(_, vc)| vc.target.1)
+        };
         // bank_morehit_predict: another VC has a pending access to this
         // same open row.
-        let more_hit =
-            (0..self.vcs.len()).any(|j| j != vc_idx && targets[j].0 == ib && targets[j].1 == row);
+        let more_hit = others().any(|r| r == row);
         // bank_close_predict: another VC wants a *different* row in this
         // internal bank.
-        let close_predict =
-            (0..self.vcs.len()).any(|j| j != vc_idx && targets[j].0 == ib && targets[j].1 != row);
+        let close_predict = others().any(|r| r != row);
         if let Some(next_same_row) = next_same_row {
             // Vector request not complete: keep the row if our own next
             // element hits it (or someone else will).
@@ -1321,7 +1321,7 @@ impl BankController {
 
     /// Sets the one-bit autoprecharge predictor for internal bank `ib`
     /// when a context issues its first operation.
-    fn set_predictor(&mut self, _vc_idx: usize, ib: u32, first_row: u64) {
+    fn set_predictor(&mut self, ib: u32, first_row: u64) {
         let matched = self.last_row[ib as usize] == Some(first_row);
         let h = &mut self.row_history[ib as usize];
         *h = ((*h << 1) | matched as u8) & 0xF;

@@ -2,19 +2,11 @@
 //!
 //! The reference model ticks every bank controller every cycle. The
 //! fast path instead keeps one pending wake-up per controller in a
-//! hand-rolled binary min-heap keyed by `(cycle, controller)`, pops the
-//! earliest, and bulk-advances the clock across the gap — cycles where
-//! provably nothing can change are never executed. Controllers that
-//! finish a tick without doing work publish a wake hint (the earliest
-//! cycle their next tick could act); controllers fully at rest park
-//! until a broadcast re-arms them.
-//!
-//! The heap uses *lazy invalidation*: [`EventQueue::wake`] never
-//! removes a superseded (later) entry, it just records the new earlier
-//! cycle in the authoritative `next_run` table and pushes a fresh
-//! entry. Stale heap entries — those disagreeing with `next_run` — are
-//! discarded when they surface at the top. This keeps every operation
-//! O(log n) with no sift-to-arbitrary-position machinery.
+//! flat `next_run` table, runs the earliest, and bulk-advances the
+//! clock across the gap — cycles where provably nothing can change are
+//! never executed. Controllers that finish a tick without doing work
+//! publish a wake hint (the earliest cycle their next tick could act);
+//! controllers fully at rest park until a broadcast re-arms them.
 
 /// Number of jump-size histogram buckets in [`EventStats::jump_hist`].
 pub const JUMP_BUCKETS: usize = 8;
@@ -64,41 +56,31 @@ impl EventStats {
     }
 }
 
-/// One pending wake-up per bank controller, ordered by cycle.
+/// One pending wake-up per bank controller: a flat `next_run` table.
 ///
-/// Ties on the cycle break toward the lower controller index, so due
-/// controllers pop in the same ascending-index order the reference
-/// model ticks them in.
+/// A unit has at most a few dozen controllers, so a linear scan of the
+/// table is cheaper than keeping any ordered structure up to date.
+/// [`drain_due`](EventQueue::drain_due) walks it in index order, which
+/// is the order the reference model ticks controllers in.
 #[derive(Debug, Default)]
 pub(crate) struct EventQueue {
-    /// Min-heap of `(cycle, controller)` wake-ups, including stale
-    /// entries superseded by an earlier `wake`.
-    heap: Vec<(u64, u32)>,
-    /// Authoritative next-run cycle per controller ([`PARKED`] when
-    /// none); a heap entry is live iff it matches this table.
+    /// Next-run cycle per controller ([`PARKED`] when none).
     next_run: Vec<u64>,
-    /// Hot lane for the overwhelmingly common wake target — the cycle
-    /// right after the last drain. During a busy stretch every working
-    /// controller re-wakes at `t + 1`, and routing those through the
-    /// heap costs a sift-up now and a sift-down at the very next
-    /// drain, both for nothing. Entries here are always live: after
-    /// `drain_due(c)` every `wake` carries a cycle `>= c + 1 ==
-    /// soon_cycle`, so nothing can supersede a lane entry.
-    soon: Vec<u32>,
-    /// The cycle `soon` entries are due at (the cycle after the last
-    /// drain; [`PARKED`] before any drain, closing the lane).
-    soon_cycle: u64,
+    /// The cycle after the last drain ([`PARKED`] before any drain).
+    next_cycle: u64,
+    /// Whether a controller was woken at `next_cycle` since the last
+    /// drain.
+    due_next: bool,
 }
 
 impl EventQueue {
     /// Clears all state and sizes the queue for `n` controllers, all
     /// parked.
     pub(crate) fn reset(&mut self, n: usize) {
-        self.heap.clear();
         self.next_run.clear();
         self.next_run.resize(n, PARKED);
-        self.soon.clear();
-        self.soon_cycle = PARKED;
+        self.next_cycle = PARKED;
+        self.due_next = false;
     }
 
     /// Schedules controller `idx` to run at `cycle`. An earlier
@@ -108,11 +90,7 @@ impl EventQueue {
         debug_assert!(cycle < PARKED, "PARKED is reserved");
         if cycle < self.next_run[idx] {
             self.next_run[idx] = cycle;
-            if cycle == self.soon_cycle {
-                self.soon.push(idx as u32);
-            } else {
-                self.push(cycle, idx as u32);
-            }
+            self.due_next |= cycle == self.next_cycle;
         }
     }
 
@@ -125,31 +103,19 @@ impl EventQueue {
         }
     }
 
-    /// Whether controllers are already scheduled for the cycle right
-    /// after the last drain — the busy-stretch signature. The event
-    /// loop uses this to bypass the full next-event/jump computation:
-    /// the earliest event *is* the next cycle, so the only possible
-    /// "jump" is zero-length.
+    /// Whether controllers were woken for the cycle right after the
+    /// last drain — the busy-stretch signature. The event loop uses
+    /// this to bypass the full next-event/jump computation: the
+    /// earliest event *is* the next cycle, so the only possible "jump"
+    /// is zero-length.
     pub(crate) fn has_due_next(&self) -> bool {
-        !self.soon.is_empty()
+        self.due_next
     }
 
     /// Earliest scheduled wake-up cycle across all controllers, or
-    /// `None` when every controller is parked. Discards stale entries
-    /// as they surface.
-    pub(crate) fn next_event(&mut self) -> Option<u64> {
-        let lane = if self.soon.is_empty() {
-            None
-        } else {
-            Some(self.soon_cycle)
-        };
-        while let Some(&(cycle, idx)) = self.heap.first() {
-            if self.next_run[idx as usize] == cycle {
-                return Some(lane.map_or(cycle, |l| l.min(cycle)));
-            }
-            self.pop_top(); // stale: superseded by an earlier wake
-        }
-        lane
+    /// `None` when every controller is parked.
+    pub(crate) fn next_event(&self) -> Option<u64> {
+        self.next_run.iter().copied().min().filter(|&c| c != PARKED)
     }
 
     /// Pops the next controller due at or before `cycle` and parks it
@@ -158,97 +124,27 @@ impl EventQueue {
     /// [`drain_due`](EventQueue::drain_due).
     #[cfg(test)]
     pub(crate) fn pop_due(&mut self, cycle: u64) -> Option<usize> {
-        // The one-at-a-time form is off the hot path: fold the lane
-        // back into the heap rather than duplicating the merge logic.
-        while let Some(idx) = self.soon.pop() {
-            self.push(self.soon_cycle, idx);
+        let (at, idx) = self.next_run.iter().copied().zip(0..).min()?;
+        if at > cycle {
+            return None;
         }
-        while let Some(&(at, idx)) = self.heap.first() {
-            if at > cycle {
-                return None;
-            }
-            self.pop_top();
-            if self.next_run[idx as usize] == at {
-                self.next_run[idx as usize] = PARKED;
-                return Some(idx as usize);
-            }
-        }
-        None
+        self.next_run[idx] = PARKED;
+        Some(idx)
     }
 
     /// Pops *every* controller due at or before `cycle` into `out` (in
-    /// cycle-then-index order) and parks them — the batched form of
+    /// index order) and parks them — the batched form of
     /// [`pop_due`](EventQueue::pop_due) for the per-cycle hot loop.
     pub(crate) fn drain_due(&mut self, cycle: u64, out: &mut Vec<u32>) {
         out.clear();
-        if self.soon_cycle == cycle {
-            // Lane entries are always live (nothing can supersede
-            // them; see the field docs), so they transfer unchecked.
-            out.append(&mut self.soon);
-            for &idx in out.iter() {
-                debug_assert_eq!(self.next_run[idx as usize], cycle);
-                self.next_run[idx as usize] = PARKED;
-            }
-        }
-        while let Some(&(at, idx)) = self.heap.first() {
-            if at > cycle {
-                break;
-            }
-            self.pop_top();
-            if self.next_run[idx as usize] == at {
-                self.next_run[idx as usize] = PARKED;
+        for (idx, at) in (0..).zip(self.next_run.iter_mut()) {
+            if *at <= cycle {
+                *at = PARKED;
                 out.push(idx);
             }
         }
-        // The reference model ticks due controllers in ascending index
-        // order; the heap guarantees that per source, but merging the
-        // lane with same-cycle heap entries (e.g. a broadcast re-arming
-        // a parked controller at this very cycle) can interleave them.
-        if !out.is_sorted() {
-            out.sort_unstable();
-        }
-        // Open the lane for re-wakes targeting the next cycle.
-        self.soon_cycle = cycle + 1;
-    }
-
-    /// Pushes one entry and restores the heap order (sift up).
-    fn push(&mut self, cycle: u64, idx: u32) {
-        self.heap.push((cycle, idx));
-        let mut i = self.heap.len() - 1;
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.heap[parent] <= self.heap[i] {
-                break;
-            }
-            self.heap.swap(parent, i);
-            i = parent;
-        }
-    }
-
-    /// Removes the minimum entry and restores the heap order (sift
-    /// down).
-    fn pop_top(&mut self) {
-        let last = self.heap.len() - 1;
-        self.heap.swap(0, last);
-        self.heap.truncate(last);
-        let mut i = 0;
-        loop {
-            let left = 2 * i + 1;
-            if left >= self.heap.len() {
-                break;
-            }
-            let right = left + 1;
-            let child = if right < self.heap.len() && self.heap[right] < self.heap[left] {
-                right
-            } else {
-                left
-            };
-            if self.heap[i] <= self.heap[child] {
-                break;
-            }
-            self.heap.swap(i, child);
-            i = child;
-        }
+        self.next_cycle = cycle + 1;
+        self.due_next = false;
     }
 }
 
@@ -324,13 +220,37 @@ mod tests {
         let mut last = 0;
         let mut popped = 0;
         while let Some(c) = q.next_event() {
-            assert!(c >= last, "heap order violated: {c} after {last}");
+            assert!(c >= last, "wake-ups out of order: {c} after {last}");
             last = c;
             assert!(q.pop_due(c).is_some());
             popped += 1;
         }
         // One live schedule per controller survives the supersessions.
         assert_eq!(popped, 8);
+    }
+
+    #[test]
+    fn has_due_next_tracks_wakes_at_the_cycle_after_a_drain() {
+        let mut q = EventQueue::default();
+        let mut out = Vec::new();
+        q.reset(3);
+        q.wake(0, 5);
+        q.wake(1, 6);
+        // Before any drain there is no "next cycle".
+        assert!(!q.has_due_next());
+        q.drain_due(5, &mut out);
+        assert_eq!(out, [0]);
+        // Controller 1 was scheduled at 6 before the drain: not counted.
+        assert!(!q.has_due_next());
+        // A wake at the drained cycle itself does not count either.
+        q.wake(2, 5);
+        assert!(!q.has_due_next());
+        q.wake(0, 6);
+        assert!(q.has_due_next());
+        q.drain_due(6, &mut out);
+        assert_eq!(out, [0, 1, 2]);
+        assert!(!q.has_due_next());
+        assert_eq!(q.next_event(), None);
     }
 
     #[test]

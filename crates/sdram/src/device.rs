@@ -306,7 +306,7 @@ impl Sdram {
             config,
             rows: vec![RowState::Closed; n],
             timers: vec![BankTimers::new(); n],
-            channel: ChannelTimers::new(),
+            channel: ChannelTimers::new(config.bank_groups),
             overlay: FastMap::default(),
             check_overlay: FastMap::default(),
             decayed: FastMap::default(),
@@ -849,52 +849,6 @@ impl Sdram {
         self.in_flight.front().map(|r| r.at_cycle)
     }
 
-    /// The earliest future cycle at which any device-side resource
-    /// changes state on its own: a restimer expiring, an in-progress
-    /// AUTO REFRESH finishing, or the periodic refresh interval lapsing.
-    /// `None` when nothing is pending (the device would sit unchanged
-    /// forever without new commands). In-flight read data is reported
-    /// separately by [`Sdram::next_data_at`].
-    pub fn next_resource_wake(&self) -> Option<u64> {
-        let mut wake: Option<u64> = None;
-        let mut consider = |at: u64| {
-            wake = Some(wake.map_or(at, |w: u64| w.min(at)));
-        };
-        // Conservative: wake at the *earliest* future expiry among all
-        // timers — early wakes are harmless, late ones are not. The
-        // cached bound proves every timer already expired.
-        if self.now < self.timer_deadline {
-            for t in &self.timers {
-                for at in [
-                    t.rcd.expires_at(),
-                    t.ras.expires_at(),
-                    t.rp.expires_at(),
-                    t.rc.expires_at(),
-                    t.wr.expires_at(),
-                ] {
-                    if at > self.now {
-                        consider(at);
-                    }
-                }
-            }
-            if let Some(at) = self.channel.next_expiry_after(self.now) {
-                consider(at);
-            }
-        }
-        if self.refresh_busy > 0 {
-            consider(self.now + self.refresh_busy as u64);
-        }
-        if self.config.refresh_interval > 0 {
-            let until_due = self
-                .config
-                .refresh_interval
-                .saturating_sub(self.since_refresh)
-                .max(1);
-            consider(self.now + until_due);
-        }
-        wake
-    }
-
     /// First cycle an ACTIVATE on internal bank `bank` is timing-legal
     /// (bank's tRP and tRC plus the channel's tRRD and tFAW all
     /// expired; may be in the past).
@@ -1018,7 +972,7 @@ impl Sdram {
     /// Whether the device is fully at rest: no in-flight data, no
     /// running or due refresh, and every restimer expired. A quiet
     /// device cannot change state on its own except for the periodic
-    /// refresh deadline, which [`Sdram::next_resource_wake`] reports.
+    /// refresh deadline, which [`Sdram::next_refresh_wake`] reports.
     pub fn quiet(&self) -> bool {
         self.now >= self.timer_deadline
             && self.in_flight.is_empty()
@@ -1547,20 +1501,6 @@ mod tests {
         assert_eq!(tags, vec![0, 1, 2]);
         assert!(!d.has_in_flight());
         assert_eq!(d.next_data_at(), None);
-    }
-
-    #[test]
-    fn next_resource_wake_reports_earliest_expiry() {
-        let mut d = dev();
-        assert_eq!(d.next_resource_wake(), None);
-        d.issue(SdramCmd::Activate { bank: 0, row: 0 }).unwrap();
-        // tRCD=2 is the earliest armed timer (tRAS=5, tRC=7 later).
-        assert_eq!(d.next_resource_wake(), Some(2));
-        d.tick();
-        assert_eq!(d.next_resource_wake(), Some(2));
-        d.tick();
-        // tRCD expired; tRAS=5 is next.
-        assert_eq!(d.next_resource_wake(), Some(5));
     }
 
     #[test]

@@ -178,8 +178,11 @@ pub struct ChannelTimers {
     /// One merged CAS gate per bank group, all named `tCCD`: a CAS to
     /// group `g` arms group `g` for `tCCD_L` and every other group for
     /// `tCCD_S`, so each timer holds the deadline its group must wait
-    /// for regardless of which constraint produced it.
+    /// for regardless of which constraint produced it. Only the first
+    /// `groups` entries are live; the rest never arm.
     cas_group: [Restimer; crate::config::MAX_BANK_GROUPS as usize],
+    /// The part's bank-group count.
+    groups: usize,
     /// Gates ACTIVATE after any bank's ACTIVATE (`tRRD`).
     rrd: Restimer,
     /// Four-activate-window expiry slots (`tFAW`).
@@ -187,10 +190,21 @@ pub struct ChannelTimers {
 }
 
 impl ChannelTimers {
-    /// Creates a fully-available channel timer set.
-    pub const fn new() -> Self {
+    /// Creates a fully-available channel timer set for a part with
+    /// `groups` bank groups.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `groups` exceeds
+    /// [`MAX_BANK_GROUPS`](crate::config::MAX_BANK_GROUPS).
+    pub const fn new(groups: u32) -> Self {
+        assert!(
+            groups <= crate::config::MAX_BANK_GROUPS,
+            "too many bank groups"
+        );
         ChannelTimers {
             cas_group: [Restimer::new("tCCD"); crate::config::MAX_BANK_GROUPS as usize],
+            groups: groups as usize,
             rrd: Restimer::new("tRRD"),
             faw: [0; 4],
         }
@@ -209,7 +223,7 @@ impl ChannelTimers {
     /// Records a CAS to bank group `group` at cycle `now`: the group
     /// itself waits `t_ccd_l`, every other group `t_ccd_s`.
     pub fn note_cas(&mut self, now: u64, group: usize, t_ccd_l: u64, t_ccd_s: u64) {
-        for (g, timer) in self.cas_group.iter_mut().enumerate() {
+        for (g, timer) in self.cas_group[..self.groups].iter_mut().enumerate() {
             timer.arm(now, if g == group { t_ccd_l } else { t_ccd_s });
         }
     }
@@ -283,7 +297,7 @@ impl ChannelTimers {
             }
         };
         consider(self.rrd.expires_at());
-        for timer in &self.cas_group {
+        for timer in &self.cas_group[..self.groups] {
             consider(timer.expires_at());
         }
         for &slot in &self.faw {
@@ -296,19 +310,13 @@ impl ChannelTimers {
     /// at which the whole channel is guaranteed unconstrained.
     pub fn all_expired_at(&self) -> u64 {
         let mut latest = self.rrd.expires_at();
-        for timer in &self.cas_group {
+        for timer in &self.cas_group[..self.groups] {
             latest = latest.max(timer.expires_at());
         }
         for &slot in &self.faw {
             latest = latest.max(slot);
         }
         latest
-    }
-}
-
-impl Default for ChannelTimers {
-    fn default() -> Self {
-        ChannelTimers::new()
     }
 }
 
@@ -390,7 +398,7 @@ mod tests {
 
     #[test]
     fn channel_ccd_distinguishes_same_and_cross_group() {
-        let mut ch = ChannelTimers::new();
+        let mut ch = ChannelTimers::new(2);
         ch.note_cas(0, 0, 5, 4); // tCCD_L=5, tCCD_S=4
         assert!(!ch.can_cas(4, 0) && ch.can_cas(5, 0)); // same group: tCCD_L
         assert!(!ch.can_cas(3, 1) && ch.can_cas(4, 1)); // other group: tCCD_S
@@ -400,7 +408,7 @@ mod tests {
 
     #[test]
     fn channel_rrd_spaces_activates() {
-        let mut ch = ChannelTimers::new();
+        let mut ch = ChannelTimers::new(2);
         assert!(ch.can_activate(0));
         ch.note_activate(0, 6, 0);
         assert!(!ch.can_activate(5) && ch.can_activate(6));
@@ -409,7 +417,7 @@ mod tests {
 
     #[test]
     fn channel_faw_admits_four_then_throttles() {
-        let mut ch = ChannelTimers::new();
+        let mut ch = ChannelTimers::new(2);
         // Four back-to-back ACTIVATEs pass (slots start expired)...
         for i in 0..4u64 {
             assert!(ch.faw_available(i), "activate {i} must pass");
@@ -427,7 +435,7 @@ mod tests {
 
     #[test]
     fn zero_parameters_leave_channel_open() {
-        let mut ch = ChannelTimers::new();
+        let mut ch = ChannelTimers::new(2);
         ch.note_cas(0, 0, 0, 0);
         ch.note_activate(0, 0, 0);
         assert!(ch.can_cas(0, 0) && ch.can_activate(0));
@@ -436,7 +444,7 @@ mod tests {
 
     #[test]
     fn all_expired_at_covers_every_gate() {
-        let mut ch = ChannelTimers::new();
+        let mut ch = ChannelTimers::new(2);
         ch.note_cas(0, 1, 5, 4);
         ch.note_activate(0, 6, 26);
         assert_eq!(ch.all_expired_at(), 26);

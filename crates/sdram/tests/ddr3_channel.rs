@@ -136,23 +136,17 @@ fn tfaw_throttles_the_fifth_activate() {
 }
 
 #[test]
-fn next_resource_wake_includes_channel_expiries() {
+fn channel_next_expiry_reports_the_earliest_gate() {
     let mut d = ddr3();
     open_rows(&mut d, &[0, 1]);
     let quiet_from = d.now();
-    // Wait until every bank timer from the opens has expired so the
-    // only pending expiries left are channel-armed ones (plus the
-    // periodic refresh deadline, thousands of cycles out).
+    // Wait until every timer armed by the opens has expired.
     tick_to(&mut d, quiet_from + 64);
-    let refresh_wake = d.next_resource_wake().expect("periodic refresh pending");
-    assert!(
-        refresh_wake > d.now() + 1000,
-        "only the far refresh is left"
-    );
+    assert_eq!(d.channel_next_expiry(), None);
     d.issue(read(0)).unwrap();
     let at = d.now();
     // tCCD_S = 4 is the earliest channel expiry (tCCD_L = 5 later).
-    assert_eq!(d.next_resource_wake(), Some(at + 4));
+    assert_eq!(d.channel_next_expiry(), Some(at + 4));
 }
 
 #[test]
