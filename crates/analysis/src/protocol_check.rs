@@ -163,6 +163,19 @@ fn command_of(class: CmdClass, bank: u32) -> SdramCmd {
     }
 }
 
+/// The device's first-legal cycle for `class` on `bank`, from the
+/// ready-at accessor that gates it (REFRESH has none).
+fn ready_at(dev: &Sdram, class: CmdClass, bank: u32) -> Option<u64> {
+    match class {
+        CmdClass::Activate => Some(dev.activate_ready_at(bank)),
+        CmdClass::Read | CmdClass::ReadAuto | CmdClass::Write | CmdClass::WriteAuto => {
+            Some(dev.access_ready_at(bank))
+        }
+        CmdClass::Precharge => Some(dev.precharge_ready_at(bank)),
+        CmdClass::Refresh => None,
+    }
+}
+
 /// Declarative legality of `class` in `state`: the transition table
 /// admits it and every gating timer is expired. `Err` carries the
 /// blocking reason.
@@ -745,6 +758,19 @@ pub fn check_preset_multibank(
                 let cmd = command_of(class, bank);
                 let model_verdict = abs.can_issue(class, bank as usize, table);
                 let device_verdict = dev.can_issue(&cmd);
+                // The bank controller's legality-first scheduling skips
+                // a candidate whose ready-at cycle is in the future, so
+                // such a cycle must imply that the device refuses it.
+                if let Some(at) = ready_at(&dev, class, bank) {
+                    if at > dev.now() && device_verdict.is_ok() {
+                        out.push(format!(
+                            "{label}: step {step}: device accepts {} to bank {bank} although \
+                             its ready-at cycle {at} is still ahead of cycle {}",
+                            class.mnemonic(),
+                            dev.now()
+                        ));
+                    }
+                }
                 match (&model_verdict, &device_verdict) {
                     (Ok(()), Err(e)) => out.push(format!(
                         "{label}: step {step}: model admits {} to bank {bank} but the \

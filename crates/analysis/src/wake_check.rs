@@ -84,13 +84,15 @@ pub const WAKE_RULES: &[WakeRule] = &[
     },
     WakeRule {
         trigger: "should_defer_activate",
-        source: "channel_next_expiry",
-        why: "the tFAW slot count behind activate deferral changes when a channel gate expires",
+        source: "access_ready_at",
+        why: "a deferral needs a timing-legal CAS, which issues the same tick, so a deferring \
+              tick is work; the CAS that ends a deferral is woken by its own access arm",
     },
     WakeRule {
         trigger: "last_cas_group",
-        source: "channel_next_expiry",
-        why: "the group-interleave preference's candidate set changes when a tCCD gate expires",
+        source: "access_ready_at",
+        why: "the group preference only orders CAS candidates; each candidate's tCCD gate is \
+              folded into its access_ready_at",
     },
     WakeRule {
         trigger: "coalesce_run",

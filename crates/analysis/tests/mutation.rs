@@ -97,13 +97,14 @@ fn dropped_wake_arm_is_caught() {
 }
 
 #[test]
-fn dropped_channel_wake_arm_is_caught() {
-    // Seeded defect: compute_wake forgets the channel-gate wake arm the
-    // generation-aware policy depends on. `channel_next_expiry` occurs
-    // exactly once in the controller (inside compute_wake), so renaming
-    // it models deleting the arm; the triggers (`should_defer_activate`
-    // and `last_cas_group` in the scheduling path) survive, so the
-    // static pass must report both uncovered triggers.
+fn dropped_access_wake_arm_is_caught() {
+    // Seeded defect: compute_wake forgets the access arm, the wake for
+    // a context whose row is open but whose CAS waits on tRCD or a tCCD
+    // gate. `access_ready_at` also gates candidates in the scheduling
+    // path, so only its occurrence inside compute_wake is renamed. The
+    // triggers it covers (`open_row`, and the generation-aware policy's
+    // `should_defer_activate` and `last_cas_group`) survive, so the
+    // static pass must report all three.
     let root = pva_analysis::find_workspace_root().expect("workspace root");
     let pristine = std::fs::read_to_string(root.join(wake_check::CONTROLLER_SRC))
         .expect("controller source readable");
@@ -112,15 +113,27 @@ fn dropped_channel_wake_arm_is_caught() {
         Vec::<String>::new(),
         "the pristine controller must pass before mutating it"
     );
-    let mutated = pristine.replace("channel_next_expiry", "channel_next_expiry_gone");
-    assert_ne!(mutated, pristine, "the wake source must exist to delete");
+    let at = pristine
+        .find("fn compute_wake")
+        .expect("compute_wake exists");
+    let (head, tail) = pristine.split_at(at);
+    let end = tail.find("\n    }\n").expect("compute_wake ends");
+    let (body, rest) = tail.split_at(end);
+    assert!(
+        body.contains("access_ready_at"),
+        "the wake source must exist to delete"
+    );
+    let mutated = format!(
+        "{head}{}{rest}",
+        body.replace("access_ready_at", "access_ready_at_gone")
+    );
     let findings = wake_check::check_source(&mutated);
-    for trigger in ["should_defer_activate", "last_cas_group"] {
+    for trigger in ["open_row", "should_defer_activate", "last_cas_group"] {
         assert!(
             findings
                 .iter()
-                .any(|f| f.contains(trigger) && f.contains("channel_next_expiry")),
-            "a dropped channel wake arm must be reported for `{trigger}`, got: {findings:?}"
+                .any(|f| f.contains(&format!("`{trigger}`")) && f.contains("`access_ready_at`")),
+            "a dropped access wake arm must be reported for `{trigger}`, got: {findings:?}"
         );
     }
 }

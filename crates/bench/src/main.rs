@@ -25,7 +25,8 @@
 //! selected scenario across a work-stealing pool, writes per-scenario
 //! text (`--out`) and `BENCH_<name>.json` records (`--json`), and can
 //! diff the text against committed goldens (`--verify`). `--min-speedup`
-//! gates on the `throughput` scenario's fast-path speedup.
+//! gates on the smaller of the `throughput` scenario's per-device
+//! fast-path speedups (`sdr100` and `ddr3-1600`).
 //!
 //! Execution is resilient: `--journal` checkpoints every completed cell
 //! to a write-ahead JSONL file so a killed run continues with
@@ -313,12 +314,13 @@ fn gate_speedup(reports: &[ScenarioReport], floor: f64) -> Result<f64, String> {
         .find(|r| r.name == "throughput")
         .ok_or("--min-speedup given but the throughput scenario did not run")?;
     if !t.record.failures.is_empty() {
-        return Err("--min-speedup given but the throughput probe cell was quarantined".into());
+        return Err("--min-speedup given but a throughput probe cell was quarantined".into());
     }
     let speedup = throughput_speedup(&t.data);
     if speedup < floor {
         return Err(format!(
-            "fast-path speedup {speedup:.2}x is below the --min-speedup floor {floor:.2}x"
+            "smallest per-device fast-path speedup {speedup:.2}x is below the \
+             --min-speedup floor {floor:.2}x"
         ));
     }
     Ok(speedup)
@@ -424,7 +426,9 @@ fn cmd_all(opts: &Options) -> ExitCode {
     }
     if let Some(floor) = opts.min_speedup {
         match gate_speedup(&reports, floor) {
-            Ok(s) => println!("throughput gate: fast-path speedup {s:.2}x >= {floor:.2}x"),
+            Ok(s) => println!(
+                "throughput gate: smallest per-device fast-path speedup {s:.2}x >= {floor:.2}x"
+            ),
             Err(e) => {
                 status.verify_mismatch = true;
                 eprintln!("error: {e}");

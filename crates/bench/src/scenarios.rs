@@ -1811,24 +1811,33 @@ fn cpu_sensitivity() -> Scenario {
 
 const THROUGHPUT_REPS: u64 = 15;
 
-/// Measures the reference and fast-path models *paired in time*: for
-/// each (kernel, stride) point the two systems alternate rep by rep,
-/// so slow drift (hypervisor steal, frequency scaling) hits both sides
-/// of the ratio equally. Each side is scored by its fastest rep —
-/// noise only ever adds time, so min-of-N estimates the true per-run
-/// cost. The cell's `aux` carries
+/// The devices the throughput scenario probes, one cell each: the
+/// paper's SDR part, and a DDR3 part on which the generation-aware
+/// scheduler does most of its work. The first cell's record keys carry
+/// no suffix; later cells' keys end in `_<device>`.
+const PROBE_DEVICES: [DevicePreset; 2] = [DevicePreset::Sdr100, DevicePreset::Ddr3_1600];
+
+/// Measures the reference and fast-path models on `preset` *paired in
+/// time*: for each (kernel, stride) point the two systems alternate rep
+/// by rep, so slow drift (hypervisor steal, frequency scaling) hits
+/// both sides of the ratio equally. Each side is scored by its fastest
+/// rep — noise only ever adds time, so min-of-N estimates the true
+/// per-run cost. The cell's `aux` carries
 /// `[model_cycles, ref_wall_ns, fast_wall_ns,
 ///   executed_cycles, skipped_cycles, jumps, events_popped,
 ///   jump_hist[0..JUMP_BUCKETS]]`
 /// where the event-loop counters are one sweep's worth from the fast
 /// model (runs are deterministic, so every rep agrees);
 /// `cycles`/`bytes` count both models' simulated work.
-fn throughput_probe() -> CellData {
-    let ref_cfg = PvaConfig {
-        fast_sim: false,
+fn throughput_probe(preset: DevicePreset) -> CellData {
+    let fast_cfg = PvaConfig {
+        sdram: SdramConfig::for_device(preset),
         ..PvaConfig::default()
     };
-    let fast_cfg = PvaConfig::default();
+    let ref_cfg = PvaConfig {
+        fast_sim: false,
+        ..fast_cfg
+    };
     let mut cycles = 0u64;
     let mut bytes = 0u64;
     let mut ref_wall = 0u64;
@@ -1881,19 +1890,25 @@ fn throughput_probe() -> CellData {
     CellData::with_aux(cycles, bytes, aux)
 }
 
-/// Simulated-cycles-per-second of one side of the paired probe cell.
+/// Simulated-cycles-per-second of one side of a paired probe cell.
 fn sim_rate(c: &CellData, wall_ns: u64) -> f64 {
     c.aux[0] as f64 / (wall_ns.max(1) as f64 / 1e9)
 }
 
-/// The fast-vs-reference speedup from a throughput scenario's cells.
-/// Returns 0.0 when the probe cell was quarantined (empty `aux`), so a
-/// `--min-speedup` gate fails rather than panics.
-pub fn throughput_speedup(cells: &[CellData]) -> f64 {
-    let Some(c) = cells.first().filter(|c| c.aux.len() >= 3) else {
-        return 0.0;
-    };
+/// The fast-vs-reference speedup of one probe cell.
+fn cell_speedup(c: &CellData) -> f64 {
     sim_rate(c, c.aux[2]) / sim_rate(c, c.aux[1])
+}
+
+/// The fast-vs-reference speedup the `--min-speedup` gate checks: the
+/// smaller of the probe cells' ratios. Returns 0.0 when a probe cell
+/// was quarantined (short `aux`), so the gate fails rather than
+/// panics.
+pub fn throughput_speedup(cells: &[CellData]) -> f64 {
+    if cells.len() != PROBE_DEVICES.len() || cells.iter().any(|c| c.aux.len() < 3) {
+        return 0.0;
+    }
+    cells.iter().map(cell_speedup).fold(f64::INFINITY, f64::min)
 }
 
 /// Derived metrics of the `techsweep` scenario: the generation-aware
@@ -1924,37 +1939,39 @@ pub fn techsweep_metrics(cells: &[CellData]) -> Vec<(String, f64)> {
     ]
 }
 
-/// Derived figures for the throughput scenario's `BENCH_*.json` record:
-/// per-model simulated-cycles-per-second, the fast-path speedup, the
-/// event-loop density (wake-ups popped per thousand simulated cycles —
-/// the cost the event queue pays for the cycles it skips), and the
-/// jump-size histogram (bucket `i` counts bulk time-advances of
-/// `2^i..2^(i+1)-1` cycles; the last bucket is open-ended).
+/// Derived figures for the throughput scenario's `BENCH_*.json` record,
+/// per probe device: simulated-cycles-per-second of each model, the
+/// fast-path speedup, the event-loop density (wake-ups popped per
+/// thousand simulated cycles — the cost the event queue pays for the
+/// cycles it skips), and the jump-size histogram (bucket `i` counts
+/// bulk time-advances of `2^i..2^(i+1)-1` cycles; the last bucket is
+/// open-ended). The first device's keys carry no suffix.
 pub fn throughput_metrics(cells: &[CellData]) -> Vec<(String, f64)> {
-    let Some(c) = cells.first().filter(|c| c.aux.len() >= 7 + JUMP_BUCKETS) else {
-        return Vec::new(); // probe cell quarantined
-    };
-    let sweep_cycles = c.aux[0] / THROUGHPUT_REPS;
-    let mut m = vec![
-        ("sim_cycles_per_sec_reference".into(), sim_rate(c, c.aux[1])),
-        ("sim_cycles_per_sec_event".into(), sim_rate(c, c.aux[2])),
-        ("fast_path_speedup".into(), throughput_speedup(cells)),
-        (
-            "executed_cycle_fraction".into(),
-            c.aux[3] as f64 / sweep_cycles.max(1) as f64,
-        ),
-        (
-            "events_per_kcycle".into(),
-            c.aux[6] as f64 * 1e3 / sweep_cycles.max(1) as f64,
-        ),
-    ];
-    for (i, &count) in c.aux[7..7 + JUMP_BUCKETS].iter().enumerate() {
-        let label = if i + 1 == JUMP_BUCKETS {
-            format!("jump_hist_{}_plus", 1u64 << i)
+    if cells.len() != PROBE_DEVICES.len() || cells.iter().any(|c| c.aux.len() < 7 + JUMP_BUCKETS) {
+        return Vec::new(); // a probe cell was quarantined
+    }
+    let mut m = Vec::new();
+    for (i, (c, device)) in cells.iter().zip(PROBE_DEVICES).enumerate() {
+        let suffix = if i == 0 {
+            String::new()
         } else {
-            format!("jump_hist_{}_{}", 1u64 << i, (1u64 << (i + 1)) - 1)
+            format!("_{}", device.name())
         };
-        m.push((label, count as f64));
+        let sweep_cycles = (c.aux[0] / THROUGHPUT_REPS).max(1) as f64;
+        let mut push = |key: &str, value: f64| m.push((format!("{key}{suffix}"), value));
+        push("sim_cycles_per_sec_reference", sim_rate(c, c.aux[1]));
+        push("sim_cycles_per_sec_event", sim_rate(c, c.aux[2]));
+        push("fast_path_speedup", cell_speedup(c));
+        push("executed_cycle_fraction", c.aux[3] as f64 / sweep_cycles);
+        push("events_per_kcycle", c.aux[6] as f64 * 1e3 / sweep_cycles);
+        for (b, &count) in c.aux[7..7 + JUMP_BUCKETS].iter().enumerate() {
+            let label = if b + 1 == JUMP_BUCKETS {
+                format!("jump_hist_{}_plus", 1u64 << b)
+            } else {
+                format!("jump_hist_{}_{}", 1u64 << b, (1u64 << (b + 1)) - 1)
+            };
+            push(&label, count as f64);
+        }
     }
     m
 }
@@ -1967,60 +1984,90 @@ fn throughput() -> Scenario {
         smoke: true,
         golden: false,
         build: || {
-            vec![CellSpec::new("paired ref/fast probe", "fig7-probe", || {
-                throughput_probe()
-            })]
+            PROBE_DEVICES
+                .iter()
+                .enumerate()
+                .map(|(i, &device)| {
+                    let label = if i == 0 {
+                        "fig7-probe".to_string()
+                    } else {
+                        format!("fig7-probe-{}", device.name())
+                    };
+                    CellSpec::new("paired ref/fast probe", label, move || {
+                        throughput_probe(device)
+                    })
+                })
+                .collect()
         },
         render: |cells| {
-            let c = &cells[0];
-            let mut t = Table::new(vec!["configuration", "sim cycles", "wall ms", "Mcycles/s"]);
-            for (name, wall) in [
-                ("reference (fast_sim off)", c.aux[1]),
-                ("event-driven (default)", c.aux[2]),
-            ] {
-                t.row(vec![
-                    name.to_string(),
-                    c.aux[0].to_string(),
-                    format!("{:.1}", wall as f64 / 1e6),
-                    format!("{:.2}", sim_rate(c, wall) / 1e6),
-                ]);
-            }
             let mut out = String::new();
             let _ = writeln!(
                 out,
                 "Simulator throughput — figure-7 kernels x stride sweep, {THROUGHPUT_REPS} reps per point\n"
             );
+            let mut t = Table::new(vec![
+                "device",
+                "configuration",
+                "sim cycles",
+                "wall ms",
+                "Mcycles/s",
+            ]);
+            for (c, device) in cells.iter().zip(PROBE_DEVICES) {
+                for (name, wall) in [
+                    ("reference (fast_sim off)", c.aux[1]),
+                    ("event-driven (default)", c.aux[2]),
+                ] {
+                    t.row(vec![
+                        device.name().to_string(),
+                        name.to_string(),
+                        c.aux[0].to_string(),
+                        format!("{:.1}", wall as f64 / 1e6),
+                        format!("{:.2}", sim_rate(c, wall) / 1e6),
+                    ]);
+                }
+            }
             let _ = writeln!(out, "{t}");
+            for (c, device) in cells.iter().zip(PROBE_DEVICES) {
+                let _ = writeln!(
+                    out,
+                    "{}: fast-path speedup {:.2}x (simulated cycles per second, fast vs reference)",
+                    device.name(),
+                    cell_speedup(c)
+                );
+            }
             let _ = writeln!(
                 out,
-                "fast-path speedup: {:.2}x (simulated cycles per second, fast vs reference;",
-                throughput_speedup(cells)
+                "(cycle counts are bit-identical between the two models by construction)\n"
             );
-            let _ = writeln!(
-                out,
-                "cycle counts are bit-identical between the two models by construction)\n"
-            );
-            let sweep = (c.aux[0] / THROUGHPUT_REPS).max(1);
-            let _ = writeln!(
-                out,
-                "event loop: {:.1}% of cycles executed, {} wake-ups ({:.0} per kcycle), {} jumps",
-                100.0 * c.aux[3] as f64 / sweep as f64,
-                c.aux[6],
-                c.aux[6] as f64 * 1e3 / sweep as f64,
-                c.aux[5],
-            );
-            let hist: Vec<String> = c.aux[7..7 + JUMP_BUCKETS]
-                .iter()
-                .enumerate()
-                .map(|(i, n)| {
-                    if i + 1 == JUMP_BUCKETS {
-                        format!("{}+:{n}", 1u64 << i)
-                    } else {
-                        format!("{}-{}:{n}", 1u64 << i, (1u64 << (i + 1)) - 1)
-                    }
-                })
-                .collect();
-            let _ = writeln!(out, "jump sizes (cycles): {}", hist.join("  "));
+            for (c, device) in cells.iter().zip(PROBE_DEVICES) {
+                let sweep = (c.aux[0] / THROUGHPUT_REPS).max(1);
+                let _ = writeln!(
+                    out,
+                    "{} event loop: {:.1}% of cycles executed, {} wake-ups ({:.0} per kcycle), {} jumps",
+                    device.name(),
+                    100.0 * c.aux[3] as f64 / sweep as f64,
+                    c.aux[6],
+                    c.aux[6] as f64 * 1e3 / sweep as f64,
+                    c.aux[5],
+                );
+                let hist: Vec<String> = c.aux[7..7 + JUMP_BUCKETS]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, n)| {
+                        if i + 1 == JUMP_BUCKETS {
+                            format!("{}+:{n}", 1u64 << i)
+                        } else {
+                            format!("{}-{}:{n}", 1u64 << i, (1u64 << (i + 1)) - 1)
+                        }
+                    })
+                    .collect();
+                let _ = writeln!(
+                    out,
+                    "{} jump sizes (cycles): {}",
+                    device.name(),
+                    hist.join("  ")
+                );
+            }
             out
         },
     }

@@ -158,8 +158,6 @@ pub struct BcStats {
     pub turnarounds: u64,
     /// Cycles at least one VC was occupied.
     pub busy_cycles: u64,
-    /// Accesses that found their row already open (row-buffer hits).
-    pub row_hits: u64,
     /// Activates issued (row opens).
     pub activates: u64,
     /// Poisoned reads re-issued (bounded retry with backoff).
@@ -193,7 +191,6 @@ impl BcStats {
         self.elements_written += other.elements_written;
         self.turnarounds += other.turnarounds;
         self.busy_cycles += other.busy_cycles;
-        self.row_hits += other.row_hits;
         self.activates += other.activates;
         self.read_retries += other.read_retries;
         self.retries_exhausted += other.retries_exhausted;
@@ -256,13 +253,6 @@ pub struct BankController {
     /// Whether a context or the bus polarity changed since `window`
     /// was built.
     window_stale: bool,
-    /// Per-cycle `row_hits` increment of the last tick, when that tick
-    /// changed *nothing but* the row-hit counter (a blocked access
-    /// observing its open row). Such a tick replays identically — same
-    /// increment included — every cycle until the wake hint, so the
-    /// fast path applies the increment arithmetically per skipped
-    /// cycle in [`advance`](BankController::advance).
-    replay_row_hits: u64,
     /// FIFO entries still waiting on the FHC multiply-add; lets a tick
     /// skip the FIFO scan once all are ready.
     fhc_pending: usize,
@@ -309,7 +299,6 @@ impl BankController {
             wake_hint: None,
             window: Vec::new(),
             window_stale: true,
-            replay_row_hits: 0,
             fhc_pending: 0,
             events: Vec::new(),
         }
@@ -468,7 +457,6 @@ impl BankController {
         // and the wake hint need maintaining (a unit test pins the two
         // forms equal).
         if self.quiet() {
-            self.replay_row_hits = 0;
             self.wake_hint = self.compute_wake(now);
             self.device.tick();
             return false;
@@ -581,7 +569,8 @@ impl BankController {
         // 4. SPU scheduling: pick at most one SDRAM command. A due
         //    periodic refresh preempts normal work (§2.2: the contents
         //    must be refreshed typically every 64 ms).
-        let row_hits_before = self.stats.row_hits;
+        #[cfg(debug_assertions)]
+        let deferred_before = self.stats.deferred_activates;
         if self.turnaround_left > 0 {
             self.turnaround_left -= 1;
             did_work = true;
@@ -591,20 +580,23 @@ impl BankController {
         // A command acceptance (from schedule *or* service_refresh) is
         // work; service_refresh "owning the slot" without issuing is
         // not — that state replays until the blocking timer expires.
-        // Scheduling can also mutate state without issuing: starting a
-        // bus turnaround, or observing a row hit on a still-blocked
-        // access — both count as work so the skip logic never elides a
-        // cycle whose replay would not be a pure no-op.
+        // Scheduling can also mutate state without issuing by starting
+        // a bus turnaround, which counts as work so the skip logic never
+        // elides a cycle whose replay would not be a pure no-op.
         did_work |= self.device.command_issued_this_cycle() || self.turnaround_left > 0;
-        let row_hit_delta = self.stats.row_hits - row_hits_before;
+        // An activate deferral needs a timing-legal CAS in the issue
+        // window, and phase B then issues it or starts a turnaround: a
+        // deferring tick is never a no-op, so the deferral needs no
+        // wake source of its own.
+        #[cfg(debug_assertions)]
+        assert!(
+            did_work || self.stats.deferred_activates == deferred_before,
+            "a tick that deferred an activate did no work"
+        );
 
         // The hint must see the device *before* its tick: a restimer at
         // 1 decrements to 0 now, and the next cycle is the first to see
-        // it available. A tick whose only effect was the row-hit
-        // observation still publishes a hint: the observation replays —
-        // counter increment included — every cycle until the hint, and
-        // `advance` applies the skipped increments.
-        self.replay_row_hits = if did_work { 0 } else { row_hit_delta };
+        // it available.
         self.wake_hint = if did_work {
             None
         } else {
@@ -613,7 +605,7 @@ impl BankController {
 
         // 5. Clock the device.
         self.device.tick();
-        did_work || row_hit_delta > 0
+        did_work
     }
 
     /// Routes one returned data word: deposit, or retry if poisoned.
@@ -687,13 +679,20 @@ impl BankController {
         // Precise scheduler wakes: for each context, the expiry of
         // exactly the timers gating its next action (activate when its
         // bank is closed, access when its row is open, precharge when
-        // another row occupies the bank). Early wakes are harmless (the
-        // tick replays as a no-op); a wake in the past means the action
-        // is timing-legal already and only a non-timer condition blocks
-        // it — every such condition is resolved by another context's
-        // work tick or by the refresh poll below, so it contributes no
-        // candidate. Waking on *any* armed timer would also be correct
-        // but triggers a no-op tick per unrelated expiry.
+        // another row occupies the bank). The device folds the channel
+        // gates (tCCD of the bank group, tRRD, tFAW) into the activate
+        // and access cycles, so these arms also cover the
+        // generation-aware policy's channel-global inputs: the group
+        // preference around `last_cas_group` only orders CAS candidates,
+        // each woken by its own access arm, and an activate deferral
+        // always comes with a CAS issued in the same tick. Early wakes
+        // are harmless (the tick replays as a no-op); a wake in the past
+        // means the action is timing-legal already and only a non-timer
+        // condition blocks it — every such condition is resolved by
+        // another context's work tick or by the refresh poll below, so
+        // it contributes no candidate. Waking on *any* armed timer would
+        // also be correct but triggers a no-op tick per unrelated
+        // expiry.
         for vc in &self.vcs {
             let (ib, row, _) = vc.target;
             let at = match self.device.open_row(ib) {
@@ -701,21 +700,6 @@ impl BankController {
                 Some(open) if open == row => self.device.access_ready_at(ib),
                 Some(_) => self.device.precharge_ready_at(ib),
             };
-            if at > now {
-                consider(at);
-            }
-        }
-        // Channel-gate expiries (tCCD per bank group, tRRD, the tFAW
-        // window slots). The per-context arms above already fold each
-        // context's *own* channel gates into access_ready_at /
-        // activate_ready_at; this arm additionally covers the
-        // generation-aware policy's channel-global decisions — the
-        // tFAW slot count behind `should_defer_activate` and the group
-        // preference around `last_cas_group` — whose inputs change
-        // exactly when a channel gate expires. `None` on SDR-era parts
-        // (the channel timers never arm), so the event schedule there
-        // is untouched.
-        if let Some(at) = self.device.channel_next_expiry() {
             if at > now {
                 consider(at);
             }
@@ -735,9 +719,6 @@ impl BankController {
         if !self.vcs.is_empty() {
             self.stats.busy_cycles += cycles;
         }
-        // Skipped replays of a blocked-access observation each count
-        // their row hit, exactly as the reference's per-cycle ticks do.
-        self.stats.row_hits += self.replay_row_hits * cycles;
         self.device.advance(cycles);
     }
 
@@ -917,9 +898,12 @@ impl BankController {
                     }
                     return false;
                 }
+                let cmd = SdramCmd::Activate { bank: ib, row };
+                if !self.timing_ready(self.device.activate_ready_at(ib), &cmd) {
+                    return false;
+                }
                 // issue() validates and rejects without side effects,
                 // so one call both checks and commits.
-                let cmd = SdramCmd::Activate { bank: ib, row };
                 if self.device.issue(cmd).is_ok() {
                     // Predictor is set on the very first operation of a
                     // new vector context (§5.2.2), using the last row
@@ -935,6 +919,10 @@ impl BankController {
                 }
             }
             Some(open) if open != row => {
+                let cmd = SdramCmd::Precharge { bank: ib };
+                if !self.timing_ready(self.device.precharge_ready_at(ib), &cmd) {
+                    return false;
+                }
                 // bank_hit_predict: some other VC that can actually
                 // issue (inside the polarity window) currently targets
                 // the open row — do not close it. VCs outside the
@@ -944,7 +932,6 @@ impl BankController {
                     let (jb, jrow, _) = self.vcs[j].target;
                     j != i && jb == ib && jrow == open
                 });
-                let cmd = SdramCmd::Precharge { bank: ib };
                 if !other_hits && self.device.issue(cmd).is_ok() {
                     self.log_op(CmdClass::Precharge, ib, open);
                     return true;
@@ -1136,6 +1123,17 @@ impl BankController {
                 return true;
             }
         }
+        // READ and WRITE share one legality rule, so a READ stands for
+        // either in the debug cross-check.
+        let cas = SdramCmd::Read {
+            bank: ib,
+            col,
+            auto_precharge: false,
+            tag: 0,
+        };
+        if !self.timing_ready(self.device.access_ready_at(ib), &cas) {
+            return false; // tRCD/tCCD still pending; try a younger VC.
+        }
         // Burst coalescing: adjacent same-row elements whose columns
         // are consecutive ride one CAS on BL4/BL8 parts. `k == 1`
         // everywhere else and takes the original single-word path.
@@ -1207,7 +1205,7 @@ impl BankController {
             self.device.issue(cmd).is_ok()
         };
         if !issued {
-            return false; // tRCD/tCCD still pending; try a younger VC.
+            return false;
         }
         let class = match (kind, auto) {
             (OpKind::Read, false) => CmdClass::Read,
@@ -1279,10 +1277,25 @@ impl BankController {
         })
     }
 
+    /// Legality-first gate on a candidate command: whether `ready_at`,
+    /// the device's own first-legal cycle for the command's timing
+    /// gates, has arrived. A candidate whose cycle is still in the
+    /// future is skipped before it is built; `issue` keeps its full
+    /// validation for the rest (command bus, refresh). Debug builds
+    /// assert that every skipped `cmd` would indeed be refused.
+    fn timing_ready(&self, ready_at: u64, cmd: &SdramCmd) -> bool {
+        let ready = ready_at <= self.device.now();
+        debug_assert!(
+            ready || self.device.can_issue(cmd).is_err(),
+            "ready-at check declined {cmd:?}, which the device would accept"
+        );
+        ready
+    }
+
     /// The ManageRow() decision of §5.2.2: should this access close its
     /// row via auto-precharge?
     fn decide_auto_precharge(
-        &mut self,
+        &self,
         vc_idx: usize,
         ib: u32,
         row: u64,
@@ -1304,9 +1317,6 @@ impl BankController {
         if let Some(next_same_row) = next_same_row {
             // Vector request not complete: keep the row if our own next
             // element hits it (or someone else will).
-            if next_same_row {
-                self.stats.row_hits += 1;
-            }
             return !(next_same_row || more_hit);
         }
         // Vector request complete.

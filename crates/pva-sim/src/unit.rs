@@ -647,18 +647,13 @@ impl PvaUnit {
             self.bc_clock[b] = t + 1;
             let worked = self.bcs[b].tick(t, &mut self.txns);
             bc_work |= worked;
-            // A published hint takes priority even over a tick that
-            // "worked": it means the work was a pure per-cycle replay
-            // (a blocked access observing its row hit) that `advance`
-            // reproduces arithmetically across the gap.
+            // A tick that worked publishes no hint. One that did not
+            // but has no hint either, while not at rest (a state the
+            // hint sources do not cover), falls back to per-cycle
+            // stepping rather than risk sleeping through a transition.
             if let Some(w) = self.bcs[b].wake_hint() {
                 self.sched.wake(b, w);
-            } else if worked {
-                self.sched.wake(b, t + 1);
-            } else if !self.bcs[b].quiet() {
-                // No hint but not at rest (a state the hint sources do
-                // not cover): fall back to per-cycle stepping rather
-                // than risk sleeping through a transition.
+            } else if worked || !self.bcs[b].quiet() {
                 self.sched.wake(b, t + 1);
             }
             // Quiet with no hint: parked until a broadcast re-arms it.

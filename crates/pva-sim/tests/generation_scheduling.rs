@@ -3,8 +3,9 @@
 //! and — most importantly — the correctness boundary of the reordering
 //! window (an overlapping read must never bypass an older write).
 
+use kernels::{Alignment, Kernel, ARRAY_REGION, LINE_WORDS};
 use pva_core::Vector;
-use pva_sim::{BcStats, HostRequest, PvaConfig, PvaUnit};
+use pva_sim::{BcStats, HostRequest, OpKind, PvaConfig, PvaUnit};
 use sdram::{DevicePreset, SdramConfig};
 
 fn ddr3_cfg() -> PvaConfig {
@@ -131,4 +132,42 @@ fn disjoint_read_may_bypass_and_stays_correct() {
     for (i, addr) in w.addresses().enumerate() {
         assert_eq!(unit.peek(addr), fresh[i], "written element {i}");
     }
+}
+
+#[test]
+fn tfaw_deferral_matches_the_reference_stepper() {
+    // vaxpy at stride 19 with internal-bank-staggered arrays opens rows
+    // in four internal banks at once, so the tFAW window runs down to
+    // its last slot while a CAS is ready: phase A defers activates. The
+    // event core has no wake source for the deferral itself (a
+    // deferring tick always issues a CAS or starts a turnaround), so it
+    // must still match the per-cycle reference exactly.
+    let kernel = Kernel::Vaxpy;
+    let bases = Alignment::InternalBankStagger.bases(kernel.array_count(), ARRAY_REGION);
+    let requests: Vec<HostRequest> = kernel
+        .trace(&bases, 19, 64, LINE_WORDS)
+        .iter()
+        .map(|op| match op.kind {
+            OpKind::Read => HostRequest::Read { vector: op.vector },
+            OpKind::Write => HostRequest::Write {
+                vector: op.vector,
+                data: (0..op.vector.length()).map(|i| 0xDEF0_0000 + i).collect(),
+            },
+        })
+        .collect();
+    let run = |fast_sim: bool| {
+        let mut unit = PvaUnit::new(PvaConfig {
+            fast_sim,
+            ..ddr3_cfg()
+        })
+        .unwrap();
+        unit.run(requests.clone()).unwrap()
+    };
+    let (event, reference) = (run(true), run(false));
+    let deferred: u64 = event.bc_stats.iter().map(|s| s.deferred_activates).sum();
+    assert!(deferred > 0, "the workload must defer activates");
+    assert_eq!(event.cycles, reference.cycles, "cycles");
+    assert_eq!(event.bc_stats, reference.bc_stats, "controller stats");
+    assert_eq!(event.sdram, reference.sdram, "device stats");
+    assert_eq!(event.completions, reference.completions, "completions");
 }

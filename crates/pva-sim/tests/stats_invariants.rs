@@ -1,7 +1,7 @@
 //! Bookkeeping invariants of the unit's statistics and the incremental
 //! API.
 
-use pva_core::Vector;
+use pva_core::{Geometry, Vector};
 use pva_sim::{HostRequest, PvaConfig, PvaUnit};
 
 #[test]
@@ -97,4 +97,25 @@ fn per_bank_element_counts_cover_each_vector() {
         .unwrap();
     let read: u64 = r.bc_stats.iter().map(|b| b.elements_read).sum();
     assert_eq!(read, 64, "every element read exactly once");
+}
+
+#[test]
+fn row_hits_count_every_cas_after_the_first() {
+    // A unit-stride read confined to one row of a single-bank system:
+    // one ACTIVATE opens the row, and every CAS after the first reuses
+    // it, so the device counts CAS − 1 row hits.
+    let cfg = PvaConfig {
+        geometry: Geometry::word_interleaved(1).unwrap(),
+        ..PvaConfig::default()
+    };
+    let mut unit = PvaUnit::new(cfg).unwrap();
+    let r = unit
+        .run(vec![HostRequest::Read {
+            vector: Vector::new(0, 1, 32).unwrap(),
+        }])
+        .unwrap();
+    let cas = r.sdram.reads + r.sdram.writes;
+    assert_eq!(r.sdram.activates, 1);
+    assert_eq!(cas, 32);
+    assert_eq!(r.sdram.row_hits, cas - 1);
 }

@@ -171,8 +171,8 @@ pub struct SdramStats {
     pub precharges: u64,
     /// Auto-precharges triggered by READ/WRITE.
     pub auto_precharges: u64,
-    /// READ/WRITE commands that found their row already open from a
-    /// *previous* access run (row-buffer hits saved an ACTIVATE).
+    /// READ/WRITE commands that were not the first CAS since their
+    /// row's ACTIVATE (each one reused an open row).
     pub row_hits: u64,
     /// AUTO REFRESH commands accepted.
     pub refreshes: u64,
@@ -213,11 +213,61 @@ impl SdramStats {
     }
 }
 
+/// log2 of the largest storage page, in words. Rows up to 512 words
+/// are one page each; wider rows (the SRAM model's) span several, so a
+/// single write never allocates a whole row.
+const MAX_PAGE_BITS: u32 = 9;
+
+/// [`Page::decay`] entry of a word that has not lost a bit.
+const NO_DECAY: u8 = u8::MAX;
+
+/// One storage page: `1 << page_bits` consecutive device-local words.
+#[derive(Debug, Clone)]
+struct Page {
+    /// Stored words; meaningful where `written` has the word's bit set.
+    data: Box<[u64]>,
+    /// One bit per word: set once the word has been written.
+    written: Box<[u64]>,
+    /// SEC-DED check byte per written word. Empty unless ECC is on;
+    /// unwritten words implicitly carry the check byte of their
+    /// background pattern.
+    check: Box<[u8]>,
+    /// Data bit each word lost to refresh decay, or [`NO_DECAY`]. Empty
+    /// unless the retention model is on. A write recharges the cell and
+    /// clears the entry.
+    decay: Box<[u8]>,
+}
+
+impl Page {
+    fn new(words: usize, ecc: bool, decay: bool) -> Self {
+        Page {
+            data: vec![0; words].into_boxed_slice(),
+            written: vec![0; words.div_ceil(64)].into_boxed_slice(),
+            check: vec![0; if ecc { words } else { 0 }].into_boxed_slice(),
+            decay: vec![NO_DECAY; if decay { words } else { 0 }].into_boxed_slice(),
+        }
+    }
+
+    const fn is_written(&self, off: usize) -> bool {
+        self.written[off >> 6] & (1 << (off & 63)) != 0
+    }
+
+    /// The stored word at `off`, if written.
+    fn word(&self, off: usize) -> Option<u64> {
+        self.is_written(off).then(|| self.data[off])
+    }
+}
+
 /// One SDRAM device: state machine, timers, and functional storage.
 ///
-/// Storage is a sparse overlay: a word never written reads back as a
-/// deterministic pattern of its local address, so functional tests can
-/// verify gathered data without preloading gigabytes.
+/// Storage is paged: the device-local address space is cut into pages
+/// of `min(row, 512)` words, so a page never spans two rows, and a page
+/// is allocated on the first write into it. A page holds its data
+/// words and a written-bit mask, plus per-word check bytes when ECC is
+/// on and per-word decay bits under the retention model. A word never
+/// written reads back as [`background_pattern`] of its local address,
+/// so functional tests can verify gathered data without preloading
+/// gigabytes.
 ///
 /// # Examples
 ///
@@ -241,20 +291,18 @@ impl SdramStats {
 pub struct Sdram {
     config: SdramConfig,
     rows: Vec<RowState>,
+    /// Per internal bank: an ACTIVATE opened the row and no CAS has
+    /// used it yet (the next CAS is not a row hit).
+    row_fresh: Vec<bool>,
     timers: Vec<BankTimers>,
     /// Device-wide channel timers (tCCD/tRRD/tFAW); permanently open on
     /// generations that leave the parameters at 0.
     channel: ChannelTimers,
-    /// Written words, keyed by device-local address.
-    overlay: FastMap<u64, u64>,
-    /// SEC-DED check bytes of written words (only kept when
-    /// `config.ecc` is on); unwritten words implicitly carry the check
-    /// byte of their background pattern.
-    check_overlay: FastMap<u64, u8>,
-    /// Words that lost a bit to refresh decay: local address → flipped
-    /// data bit. A write (or poke) to the word recharges the cell and
-    /// clears the entry.
-    decayed: FastMap<u64, u32>,
+    /// Written storage pages, keyed by device-local address shifted
+    /// right by `page_bits`.
+    pages: FastMap<u64, Page>,
+    /// log2 of the words per page: `min(log2_cols, MAX_PAGE_BITS)`.
+    page_bits: u32,
     /// Cycle each (bank, row) was last charge-restored by an ACTIVATE.
     row_restore: FastMap<(u32, u64), u64>,
     /// Cycle of the last AUTO REFRESH (device-wide charge restore).
@@ -305,11 +353,11 @@ impl Sdram {
         Ok(Sdram {
             config,
             rows: vec![RowState::Closed; n],
+            row_fresh: vec![false; n],
             timers: vec![BankTimers::new(); n],
             channel: ChannelTimers::new(config.bank_groups),
-            overlay: FastMap::default(),
-            check_overlay: FastMap::default(),
-            decayed: FastMap::default(),
+            pages: FastMap::default(),
+            page_bits: config.log2_cols.min(MAX_PAGE_BITS),
             row_restore: FastMap::default(),
             last_refresh_at: 0,
             faults: FaultEngine::new(config.fault),
@@ -535,6 +583,7 @@ impl Sdram {
                 let cfg = self.config;
                 let b = bank as usize;
                 self.apply_bank_event(bank, CmdClass::Activate, row);
+                self.row_fresh[bank as usize] = true;
                 let now = self.now;
                 let t = &mut self.timers[b];
                 t.rcd.arm(now, cfg.t_rcd as u64);
@@ -824,10 +873,17 @@ impl Sdram {
         self.timer_deadline = self.timer_deadline.max(until);
     }
 
-    /// Records an accepted CAS on the channel: `bank`'s group is armed
-    /// for `tCCD_L`, every other group for `tCCD_S`. No-op on
-    /// generations with tCCD disabled (both parameters 0).
+    /// Records an accepted CAS on `bank`: counts a row hit unless it is
+    /// the first CAS since the row's ACTIVATE, then arms the channel's
+    /// tCCD gates — `bank`'s group for `tCCD_L`, every other group for
+    /// `tCCD_S` (no-op on generations with both parameters 0).
     fn note_cas(&mut self, bank: u32) {
+        let fresh = &mut self.row_fresh[bank as usize];
+        if *fresh {
+            *fresh = false;
+        } else {
+            self.stats.row_hits += 1;
+        }
         let cfg = self.config;
         if cfg.t_ccd_l == 0 && cfg.t_ccd_s == 0 {
             return;
@@ -902,20 +958,6 @@ impl Sdram {
         self.channel
             .cas_ready_at(group as usize)
             .saturating_sub(self.now)
-    }
-
-    /// The earliest future expiry among the channel gates (tCCD per
-    /// bank group, tRRD, the tFAW window slots), or `None` when every
-    /// gate is already open. Generation-aware schedulers use this as a
-    /// wake source: a command deferred on a channel constraint becomes
-    /// issuable no earlier than this cycle. Permanently `None` on
-    /// generations that leave the channel parameters at 0 (the timers
-    /// never arm).
-    pub fn channel_next_expiry(&self) -> Option<u64> {
-        if self.now >= self.timer_deadline {
-            return None;
-        }
-        self.channel.next_expiry_after(self.now)
     }
 
     /// Residual cycles of the channel's tRRD gate (0 when expired).
@@ -1011,12 +1053,19 @@ impl Sdram {
         !self.in_flight.is_empty()
     }
 
-    /// Functional read of a device-local word (no timing): the overlay
+    /// Storage page key and word offset of a device-local address.
+    const fn page_of(&self, local_addr: u64) -> (u64, usize) {
+        let mask = (1u64 << self.page_bits) - 1;
+        (local_addr >> self.page_bits, (local_addr & mask) as usize)
+    }
+
+    /// Functional read of a device-local word (no timing): the stored
     /// value if written, else the deterministic background pattern.
     pub fn peek(&self, local_addr: u64) -> u64 {
-        self.overlay
-            .get(&local_addr)
-            .copied()
+        let (key, off) = self.page_of(local_addr);
+        self.pages
+            .get(&key)
+            .and_then(|p| p.word(off))
             .unwrap_or_else(|| background_pattern(local_addr))
     }
 
@@ -1027,31 +1076,40 @@ impl Sdram {
         self.store_word(local_addr, data);
     }
 
-    /// Stores a word: overlay value, fresh check byte, cell recharged.
+    /// Stores a word: data, fresh check byte, cell recharged.
     fn store_word(&mut self, local_addr: u64, data: u64) {
-        self.overlay.insert(local_addr, data);
-        if !self.decayed.is_empty() {
-            self.decayed.remove(&local_addr);
+        let (key, off) = self.page_of(local_addr);
+        let words = 1usize << self.page_bits;
+        let (ecc, decay) = (self.config.ecc, self.config.fault.retention_cycles > 0);
+        let page = self
+            .pages
+            .entry(key)
+            .or_insert_with(|| Page::new(words, ecc, decay));
+        page.data[off] = data;
+        page.written[off >> 6] |= 1 << (off & 63);
+        if let Some(check) = page.check.get_mut(off) {
+            *check = ecc::encode(data);
         }
-        if self.config.ecc {
-            self.check_overlay.insert(local_addr, ecc::encode(data));
+        if let Some(bit) = page.decay.get_mut(off) {
+            *bit = NO_DECAY;
         }
-    }
-
-    /// The stored check byte of a word: the overlay entry if the word
-    /// was written with ECC on, else the check byte its content encodes
-    /// to (unwritten background words are implicitly well-encoded).
-    fn stored_check(&self, local_addr: u64) -> u8 {
-        self.check_overlay
-            .get(&local_addr)
-            .copied()
-            .unwrap_or_else(|| ecc::encode(self.peek(local_addr)))
     }
 
     /// Reads one word through the fault and ECC layers, returning the
     /// delivered data and whether it is flagged bad (`poisoned`).
     fn read_word(&mut self, bank: u32, local_addr: u64) -> (u64, bool) {
-        let truth = self.peek(local_addr);
+        // One page lookup yields the stored word, its check byte and
+        // its decay bit. An unwritten word reads its background
+        // pattern, which is implicitly well-encoded and never decays.
+        let (key, off) = self.page_of(local_addr);
+        let (truth, stored_check, decay) = match self.pages.get(&key) {
+            Some(p) if p.is_written(off) => (
+                p.data[off],
+                p.check.get(off).copied(),
+                p.decay.get(off).copied().filter(|&b| b != NO_DECAY),
+            ),
+            _ => (background_pattern(local_addr), None, None),
+        };
         if self.config.fault.hard_failed_bank == Some(bank) {
             // A dead subarray drives garbage; the controller-side ECC
             // (or the bank-failure detection itself) flags the loss.
@@ -1061,14 +1119,12 @@ impl Sdram {
         }
         let mut data = truth;
         let mut check = if self.config.ecc {
-            self.stored_check(local_addr)
+            stored_check.unwrap_or_else(|| ecc::encode(truth))
         } else {
             0
         };
-        if !self.decayed.is_empty() {
-            if let Some(&bit) = self.decayed.get(&local_addr) {
-                data ^= 1u64 << bit;
-            }
+        if let Some(bit) = decay {
+            data ^= 1u64 << bit;
         }
         if let Some((bit, value)) = self.faults.stuck_bit(local_addr) {
             let (d0, c0) = apply_stuck(data, check, bit, value);
@@ -1123,13 +1179,23 @@ impl Sdram {
         if self.now.saturating_sub(self.last_restore(bank, row)) <= retention {
             return;
         }
-        for col in 0..(1u64 << self.config.log2_cols) {
-            let local = self.local_addr(bank, row, col);
-            if self.overlay.contains_key(&local) && !self.decayed.contains_key(&local) {
-                self.decayed.insert(local, self.faults.decay_bit(local));
-                self.stats.decayed_words += 1;
+        // The row's pages are the keys `first..first + count`.
+        let (first, _) = self.page_of(self.local_addr(bank, row, 0));
+        let count = 1u64 << (self.config.log2_cols - self.page_bits);
+        let mut lost = 0;
+        for key in first..first + count {
+            let Some(page) = self.pages.get_mut(&key) else {
+                continue;
+            };
+            for off in 0..page.decay.len() {
+                if page.is_written(off) && page.decay[off] == NO_DECAY {
+                    let local = (key << self.page_bits) + off as u64;
+                    page.decay[off] = self.faults.decay_bit(local) as u8;
+                    lost += 1;
+                }
             }
         }
+        self.stats.decayed_words += lost;
     }
 
     /// Decays every tracked row whose retention window lapsed. Called
@@ -1155,12 +1221,6 @@ impl Sdram {
         let ib = (bank % self.config.internal_banks) as u64;
         let row_field = (rank << self.config.log2_rows) | row;
         (((row_field << ib_bits) | ib) << self.config.log2_cols) | col
-    }
-
-    /// Records a row-hit observation (called by controllers when they
-    /// find their target row already open and skip an ACTIVATE).
-    pub fn note_row_hit(&mut self) {
-        self.stats.row_hits += 1;
     }
 
     fn bank(&self, bank: u32) -> Result<(RowState, &BankTimers), IssueError> {

@@ -136,20 +136,6 @@ fn tfaw_throttles_the_fifth_activate() {
 }
 
 #[test]
-fn channel_next_expiry_reports_the_earliest_gate() {
-    let mut d = ddr3();
-    open_rows(&mut d, &[0, 1]);
-    let quiet_from = d.now();
-    // Wait until every timer armed by the opens has expired.
-    tick_to(&mut d, quiet_from + 64);
-    assert_eq!(d.channel_next_expiry(), None);
-    d.issue(read(0)).unwrap();
-    let at = d.now();
-    // tCCD_S = 4 is the earliest channel expiry (tCCD_L = 5 later).
-    assert_eq!(d.channel_next_expiry(), Some(at + 4));
-}
-
-#[test]
 fn auditor_agrees_with_a_legal_ddr3_stream() {
     // Drive a greedy legal stream through the device and replay every
     // accepted command into the independent auditor: the two timing
