@@ -82,6 +82,14 @@ impl CellData {
 /// The work closure of a cell.
 pub type Work = Box<dyn FnOnce() -> CellData + Send>;
 
+/// Produces a scenario's cell grid; called again to rebuild a cell for
+/// a retry, so it must return the same grid every time.
+pub type Build = Box<dyn Fn() -> Vec<CellSpec> + Send + Sync>;
+
+/// Renders a scenario's cell results (in build order) into its report
+/// text.
+pub type Render = Box<dyn Fn(&[CellData]) -> String + Send + Sync>;
+
 /// One independent unit of work in a scenario's grid.
 pub struct CellSpec {
     /// Memory system (or configuration) the cell exercises.
@@ -108,7 +116,9 @@ impl CellSpec {
 }
 
 /// A declarative experiment: a named grid of cells plus a renderer
-/// that reproduces the legacy figure/table text byte-for-byte.
+/// that reproduces the legacy figure/table text byte-for-byte. `build`
+/// and `render` are closures, so a scenario can carry its parameters
+/// (e.g. the device preset `--device` selects) as plain values.
 pub struct Scenario {
     /// Canonical name; also the golden/text/JSON file stem.
     pub name: &'static str,
@@ -121,9 +131,9 @@ pub struct Scenario {
     /// Has a committed golden at `results/<name>.txt`?
     pub golden: bool,
     /// Produces the cell grid.
-    pub build: fn() -> Vec<CellSpec>,
+    pub build: Build,
     /// Renders the cell results (in build order) into the report text.
-    pub render: fn(&[CellData]) -> String,
+    pub render: Render,
 }
 
 /// One cell's row in a [`RunRecord`].
@@ -434,27 +444,6 @@ pub struct EngineRun {
     pub failed_cells: usize,
 }
 
-/// Runs a batch of scenarios, fanning every cell of every scenario
-/// across `jobs` workers. Results are deterministic in content and
-/// order for any `jobs >= 1`. Panics if any cell fails after retries —
-/// use [`run_scenarios_checked`] for quarantine semantics.
-pub fn run_scenarios(scenarios: &[&Scenario], jobs: usize) -> Vec<ScenarioReport> {
-    let run = run_scenarios_checked(scenarios, &ExecConfig::with_jobs(jobs))
-        .expect("engine run succeeds");
-    if let Some(f) = run
-        .reports
-        .iter()
-        .flat_map(|r| r.record.failures.iter())
-        .next()
-    {
-        panic!(
-            "cell {}/{} failed after {} attempt(s): {}",
-            f.system, f.label, f.attempts, f.message
-        );
-    }
-    run.reports
-}
-
 enum Slot {
     Done(CellData, u64),
     Failed(CellFailure),
@@ -481,14 +470,17 @@ fn failure_text(name: &str, failures: &[CellFailure]) -> String {
 /// `(global submission index, scenario index, cell index, work)`.
 type PendingCell = (usize, usize, usize, Work);
 
-/// Runs a batch of scenarios under a full [`ExecConfig`]: resilient
-/// per-cell execution, optional write-ahead journaling, and resume.
+/// Runs a batch of scenarios under a full [`ExecConfig`], fanning every
+/// cell of every scenario across `jobs` workers: resilient per-cell
+/// execution, optional write-ahead journaling, and resume. Results are
+/// deterministic in content and order for any `jobs >= 1`.
 ///
-/// Returns `Err` on environmental problems (unreadable/mismatched
-/// journal, journal write failure) and — in `strict` mode — on the
-/// first quarantined cell. Cell failures in non-strict mode are *not*
-/// errors: they are quarantined into each record's `failures` list and
-/// counted in [`EngineRun::failed_cells`].
+/// Returns `Err` on environmental problems — an unreadable journal, a
+/// journal whose selection or cell identities (system and label at each
+/// index) differ from this run's, a journal write failure — and, in
+/// `strict` mode, on the first quarantined cell. Cell failures in
+/// non-strict mode are *not* errors: they are quarantined into each
+/// record's `failures` list and counted in [`EngineRun::failed_cells`].
 pub fn run_scenarios_checked(
     scenarios: &[&Scenario],
     cfg: &ExecConfig,
@@ -537,11 +529,22 @@ pub fn run_scenarios_checked(
             let hit = replay.as_ref().and_then(|r| {
                 r.cells
                     .get(&key)
-                    .map(|c| Slot::Done(c.data.clone(), c.wall_ns))
-                    .or_else(|| r.failures.get(&key).cloned().map(Slot::Failed))
+                    .map(|c| (&c.system, &c.label, Slot::Done(c.data.clone(), c.wall_ns)))
+                    .or_else(|| {
+                        r.failures
+                            .get(&key)
+                            .map(|f| (&f.system, &f.label, Slot::Failed(f.clone())))
+                    })
             });
             match hit {
-                Some(slot) => {
+                Some((system, label, _)) if *system != cell.system || *label != cell.label => {
+                    return Err(env(format!(
+                        "journal cell {} #{ci} is {system}/{label} but this run builds \
+                         {}/{}; re-run without --resume to start over",
+                        s.name, cell.system, cell.label
+                    )));
+                }
+                Some((_, _, slot)) => {
                     slots.push(Some(slot));
                     replayed.push(true);
                 }
@@ -599,7 +602,7 @@ pub fn run_scenarios_checked(
                     match job {
                         Some((global, si, ci, work)) => {
                             let s = scenarios[si];
-                            let build = s.build;
+                            let build = &s.build;
                             let rebuild = move || build().into_iter().nth(ci).map(|c| c.work);
                             let result = resilient::run_cell(work, rebuild, policy, s.name, ci);
                             // The collector drains inside this scope;
@@ -753,7 +756,7 @@ mod tests {
             title: "tiny test scenario",
             smoke: false,
             golden: false,
-            build: || {
+            build: Box::new(|| {
                 (0..17u64)
                     .map(|i| {
                         CellSpec::new("sys", format!("cell{i}"), move || {
@@ -761,11 +764,11 @@ mod tests {
                         })
                     })
                     .collect()
-            },
-            render: |cells| {
+            }),
+            render: Box::new(|cells: &[CellData]| {
                 let total: u64 = cells.iter().map(|c| c.cycles).sum();
                 format!("total {total}\n")
-            },
+            }),
         }
     }
 
@@ -776,7 +779,7 @@ mod tests {
             title: "one cell always panics",
             smoke: false,
             golden: false,
-            build: || {
+            build: Box::new(|| {
                 (0..5u64)
                     .map(|i| {
                         CellSpec::new("sys", format!("cell{i}"), move || {
@@ -787,16 +790,27 @@ mod tests {
                         })
                     })
                     .collect()
-            },
-            render: |cells| format!("sum {}\n", cells.iter().map(|c| c.cycles).sum::<u64>()),
+            }),
+            render: Box::new(|cells: &[CellData]| {
+                format!("sum {}\n", cells.iter().map(|c| c.cycles).sum::<u64>())
+            }),
         }
+    }
+
+    /// Runs scenarios on `jobs` workers with the default policy and no
+    /// journal; every cell must succeed.
+    fn run_ok(scenarios: &[&Scenario], jobs: usize) -> Vec<ScenarioReport> {
+        let run =
+            run_scenarios_checked(scenarios, &ExecConfig::with_jobs(jobs)).expect("engine run");
+        assert_eq!(run.failed_cells, 0, "no cell may fail");
+        run.reports
     }
 
     #[test]
     fn pool_preserves_order_at_any_width() {
         let s = tiny_scenario();
         for jobs in [1, 2, 8, 32] {
-            let reports = run_scenarios(&[&s], jobs);
+            let reports = run_ok(&[&s], jobs);
             assert_eq!(reports.len(), 1);
             let r = &reports[0];
             assert_eq!(r.text, "total 13600\n");
@@ -812,7 +826,7 @@ mod tests {
 
     #[test]
     fn record_json_round_trips() {
-        let reports = run_scenarios(&[&tiny_scenario()], 4);
+        let reports = run_ok(&[&tiny_scenario()], 4);
         let rec = &reports[0].record;
         assert_eq!(rec.schema, SCHEMA);
         let parsed = RunRecord::from_json(&rec.to_json()).expect("valid record");
@@ -821,7 +835,7 @@ mod tests {
 
     #[test]
     fn failures_round_trip_through_json() {
-        let mut rec = run_scenarios(&[&tiny_scenario()], 1)[0].record.clone();
+        let mut rec = run_ok(&[&tiny_scenario()], 1)[0].record.clone();
         rec.failures.push(CellFailure {
             system: "sys".into(),
             label: "cell3".into(),
@@ -862,7 +876,7 @@ mod tests {
 
     #[test]
     fn canonical_zeroes_wall_derived_fields_only() {
-        let mut rec = run_scenarios(&[&tiny_scenario()], 2)[0].record.clone();
+        let mut rec = run_ok(&[&tiny_scenario()], 2)[0].record.clone();
         rec.metrics.push(("speedup".into(), 2.0));
         rec.resumed = 3;
         let c = rec.canonical();
@@ -882,7 +896,7 @@ mod tests {
     fn multi_scenario_batch_keeps_scenario_boundaries() {
         let a = tiny_scenario();
         let b = tiny_scenario();
-        let reports = run_scenarios(&[&a, &b], 3);
+        let reports = run_ok(&[&a, &b], 3);
         assert_eq!(reports.len(), 2);
         assert_eq!(reports[0].record.cells.len(), 17);
         assert_eq!(reports[1].record.cells.len(), 17);

@@ -1,4 +1,5 @@
-//! Seeded fault-injection campaign over the Table-2 kernels.
+//! The `faults` scenario: a seeded fault-injection campaign over the
+//! Table-2 kernels.
 //!
 //! Sweeps fault scenario × kernel, running each kernel's vector trace
 //! through a faulty [`PvaUnit`] while a golden map tracks every word the
@@ -7,23 +8,28 @@
 //! (detected, delivered honestly); a wrong word without the flag is a
 //! *silent* corruption. With ECC on and single-bit fault mechanisms,
 //! the campaign must report zero silent corruptions — the repeatable,
-//! seeded form of the robustness acceptance criterion.
+//! seeded form of the robustness acceptance criterion. A cell that sees
+//! a silent corruption or a watchdog hang panics, so the engine
+//! quarantines it and `pva-bench` exits 5.
 
 use std::collections::{HashMap, HashSet};
+use std::fmt::Write as _;
 
 use kernels::Kernel;
 use memsys::OpKind;
 use pva_core::{PvaError, Vector};
 use pva_sim::{HostRequest, PvaConfig, PvaUnit};
 
+use crate::engine::{CellData, CellSpec, Scenario};
+
 /// Campaign-wide knobs. Everything downstream is a pure function of
-/// these, so a report is reproducible from its config alone.
+/// these, so a cell is reproducible from its config alone.
 #[derive(Debug, Clone, Copy)]
 pub struct CampaignConfig {
     /// Master fault seed (propagated into every device).
     pub seed: u64,
     /// Application-vector length per kernel (1024 in the paper; use a
-    /// smaller multiple of the line length for smoke runs).
+    /// smaller multiple of the line length for quick runs).
     pub elements: u64,
     /// Element stride shared by every vector.
     pub stride: u64,
@@ -33,42 +39,18 @@ pub struct CampaignConfig {
     pub transient_ppm: u32,
     /// Stuck-cell rate for the `stuck` scenario (ppm of words).
     pub stuck_ppm: u32,
-    /// Attempts each cell gets before it is quarantined (at least 1):
-    /// a cell that panics is retried from scratch, and only a cell that
-    /// fails every attempt lands in
-    /// [`CampaignReport::quarantined`].
-    pub max_attempts: u32,
-    /// Chaos hook: kernel whose cells panic at the start of every
-    /// attempt. Used by the chaos tests to prove quarantine keeps the
-    /// sibling cells alive; `None` in real campaigns.
-    pub inject_panic: Option<&'static str>,
 }
 
-impl CampaignConfig {
-    /// The full-size campaign at the paper's 1024-element vectors.
-    pub fn full(seed: u64) -> Self {
-        CampaignConfig {
-            seed,
-            elements: 1024,
-            stride: 1,
-            ecc: true,
-            transient_ppm: 20_000,
-            stuck_ppm: 20_000,
-            max_attempts: 2,
-            inject_panic: None,
-        }
-    }
-
-    /// A small, fast configuration for CI smoke runs.
-    pub fn smoke(seed: u64) -> Self {
-        CampaignConfig {
-            elements: 128,
-            transient_ppm: 100_000,
-            stuck_ppm: 100_000,
-            ..Self::full(seed)
-        }
-    }
-}
+/// The campaign the `faults` scenario runs: the paper's 1024-element
+/// vectors, seed `0xC0FFEE`, ECC on.
+pub const PAPER_CAMPAIGN: CampaignConfig = CampaignConfig {
+    seed: 0xC0FFEE,
+    elements: 1024,
+    stride: 1,
+    ecc: true,
+    transient_ppm: 20_000,
+    stuck_ppm: 20_000,
+};
 
 /// Outcome of one kernel × scenario cell.
 #[derive(Debug, Clone, Copy)]
@@ -98,63 +80,11 @@ pub struct CellOutcome {
     pub silent_mismatches: u64,
     /// The watchdog aborted the cell.
     pub hung: bool,
-    /// Attempts it took to produce this outcome (1 = first try).
-    pub attempts: u32,
 }
 
-/// A cell that failed every attempt and was dropped from the results,
-/// leaving its siblings intact.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuarantinedCell {
-    /// Kernel name.
-    pub kernel: &'static str,
-    /// Scenario label.
-    pub scenario: &'static str,
-    /// Attempts made before giving up.
-    pub attempts: u32,
-    /// Classified cause, e.g. `[panic] chaos: injected campaign panic`.
-    pub message: String,
-}
-
-/// Aggregated campaign results.
-#[derive(Debug, Clone)]
-pub struct CampaignReport {
-    /// The configuration that produced the report.
-    pub config: CampaignConfig,
-    /// One outcome per kernel × scenario that completed.
-    pub cells: Vec<CellOutcome>,
-    /// Cells that failed every attempt; the rest of the sweep is
-    /// unaffected (graceful degradation).
-    pub quarantined: Vec<QuarantinedCell>,
-}
-
-impl CampaignReport {
-    /// Total silent corruptions: device-level plus end-to-end.
-    pub fn total_silent(&self) -> u64 {
-        self.cells
-            .iter()
-            .map(|c| c.device_silent + c.silent_mismatches)
-            .sum()
-    }
-
-    /// Total ECC corrections across all cells.
-    pub fn total_corrected(&self) -> u64 {
-        self.cells.iter().map(|c| c.corrected).sum()
-    }
-
-    /// Total detected-uncorrectable reads across all cells.
-    pub fn total_detected(&self) -> u64 {
-        self.cells.iter().map(|c| c.detected).sum()
-    }
-
-    /// Number of cells the watchdog had to abort.
-    pub fn hung_cells(&self) -> usize {
-        self.cells.iter().filter(|c| c.hung).count()
-    }
-}
-
-/// The fault scenarios of the sweep, as ready-to-run unit configs.
-pub fn scenarios(cc: &CampaignConfig) -> Vec<(&'static str, PvaConfig)> {
+/// The six fault configs of the campaign, named, as ready-to-run unit
+/// configs.
+pub fn fault_configs(cc: &CampaignConfig) -> Vec<(&'static str, PvaConfig)> {
     let mut base = PvaConfig::default();
     base.sdram.ecc = cc.ecc;
     base.sdram.fault.seed = cc.seed;
@@ -212,47 +142,6 @@ pub fn scenarios(cc: &CampaignConfig) -> Vec<(&'static str, PvaConfig)> {
     out
 }
 
-/// Runs the whole campaign: every base kernel under every scenario.
-///
-/// Each cell is isolated: a panicking cell is retried from scratch up
-/// to [`CampaignConfig::max_attempts`] times (a fresh unit and golden
-/// map per attempt, so the retry is deterministic), and a cell that
-/// fails every attempt is quarantined without aborting its siblings.
-pub fn run_campaign(cc: &CampaignConfig) -> CampaignReport {
-    let mut cells = Vec::new();
-    let mut quarantined = Vec::new();
-    let max_attempts = cc.max_attempts.max(1);
-    for (name, unit_cfg) in scenarios(cc) {
-        for k in Kernel::BASE {
-            let mut attempt = 1;
-            loop {
-                match crate::resilient::catch_classified(|| run_cell(cc, k, name, unit_cfg)) {
-                    Ok(mut cell) => {
-                        cell.attempts = attempt;
-                        cells.push(cell);
-                        break;
-                    }
-                    Err(e) if attempt >= max_attempts => {
-                        quarantined.push(QuarantinedCell {
-                            kernel: k.name(),
-                            scenario: name,
-                            attempts: attempt,
-                            message: format!("[{}] {}", e.kind, e.message),
-                        });
-                        break;
-                    }
-                    Err(_) => attempt += 1,
-                }
-            }
-        }
-    }
-    CampaignReport {
-        config: *cc,
-        cells,
-        quarantined,
-    }
-}
-
 /// Deterministic word value for address `addr`, version `v` (version 0
 /// is the priming fill; later writes bump it so overwrites are visible).
 fn synth(seed: u64, addr: u64, v: u64) -> u64 {
@@ -261,18 +150,12 @@ fn synth(seed: u64, addr: u64, v: u64) -> u64 {
 
 /// Runs one kernel's trace against one faulty unit, comparing every
 /// gathered word against the golden map.
-fn run_cell(
+pub fn run_cell(
     cc: &CampaignConfig,
     kernel: Kernel,
     scenario: &'static str,
     unit_cfg: PvaConfig,
 ) -> CellOutcome {
-    if cc.inject_panic == Some(kernel.name()) {
-        panic!(
-            "chaos: injected campaign panic in {}/{scenario}",
-            kernel.name()
-        );
-    }
     let bases = [0u64, 1 << 20, 2 << 20];
     let trace = kernel.trace(&bases, cc.stride, cc.elements, unit_cfg.line_words);
 
@@ -308,7 +191,6 @@ fn run_cell(
         flagged_mismatches: 0,
         silent_mismatches: 0,
         hung: false,
-        attempts: 1,
     };
     let mut unit = PvaUnit::new(unit_cfg).expect("campaign configs are valid");
     let mut golden: HashMap<u64, u64> = HashMap::new();
@@ -382,4 +264,91 @@ fn run_cell(
     out.transient_faults = s.transient_faults;
     out.decayed_words = s.decayed_words;
     out
+}
+
+/// The 36-cell `faults` scenario: every fault config × every base
+/// kernel of [`PAPER_CAMPAIGN`], in that row order.
+pub fn faults() -> Scenario {
+    Scenario {
+        name: "faults",
+        alias: "",
+        title: "Fault campaign: six fault scenarios x six kernels, ECC on",
+        smoke: true,
+        golden: true,
+        build: Box::new(|| {
+            let mut cells = Vec::new();
+            for (name, unit_cfg) in fault_configs(&PAPER_CAMPAIGN) {
+                for k in Kernel::BASE {
+                    cells.push(CellSpec::new(name, k.name(), move || {
+                        let c = run_cell(&PAPER_CAMPAIGN, k, name, unit_cfg);
+                        let silent = c.device_silent + c.silent_mismatches;
+                        if silent > 0 {
+                            panic!("{silent} silent corruption(s) in {}/{name}", k.name());
+                        }
+                        if c.hung {
+                            panic!("watchdog hang in {}/{name}", k.name());
+                        }
+                        let aux = vec![
+                            c.corrected,
+                            c.detected,
+                            c.flagged_elements,
+                            c.flagged_mismatches,
+                            silent,
+                            u64::from(c.hung),
+                        ];
+                        CellData::with_aux(c.cycles, 0, aux)
+                    }));
+                }
+            }
+            cells
+        }),
+        render: Box::new(|cells: &[CellData]| {
+            let cc = PAPER_CAMPAIGN;
+            let mut out = format!(
+                "fault campaign: seed={:#x} elements={} ecc={}\n",
+                cc.seed, cc.elements, cc.ecc
+            );
+            let _ = writeln!(
+                out,
+                "{:<10} {:<18} {:>9} {:>9} {:>9} {:>8} {:>8} {:>8} {:>6}",
+                "kernel",
+                "scenario",
+                "cycles",
+                "corrected",
+                "detected",
+                "flagged",
+                "flg-mis",
+                "silent",
+                "hung"
+            );
+            let names = fault_configs(&cc).into_iter().map(|(name, _)| name);
+            let rows = names.flat_map(|name| Kernel::BASE.map(|k| (name, k)));
+            let mut totals = [0u64; 6];
+            for ((name, k), c) in rows.zip(cells) {
+                let a = &c.aux;
+                for (t, v) in totals.iter_mut().zip(a) {
+                    *t += v;
+                }
+                let _ = writeln!(
+                    out,
+                    "{:<10} {:<18} {:>9} {:>9} {:>9} {:>8} {:>8} {:>8} {:>6}",
+                    k.name(),
+                    name,
+                    c.cycles,
+                    a[0],
+                    a[1],
+                    a[2],
+                    a[3],
+                    a[4],
+                    if a[5] > 0 { "YES" } else { "-" }
+                );
+            }
+            let _ = writeln!(
+                out,
+                "totals: corrected={} detected={} silent={} hung-cells={}",
+                totals[0], totals[1], totals[4], totals[5]
+            );
+            out
+        }),
+    }
 }

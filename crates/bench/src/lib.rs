@@ -11,8 +11,8 @@
 use kernels::{run_cell, run_point, Alignment, CellResult, Kernel, SystemKind, STRIDES};
 use pva_sim::{PvaConfig, RowPolicy};
 
-pub mod campaign;
 pub mod engine;
+pub mod faults;
 pub mod journal;
 pub mod json;
 pub mod report;

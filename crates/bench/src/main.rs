@@ -15,10 +15,10 @@
 //!
 //! `--device` narrows device-parameterized scenarios (currently the
 //! `techsweep` generation sweep) to one named [`sdram::DevicePreset`]
-//! — the per-generation CI smoke. It is exported to cells through the
-//! `PVA_BENCH_DEVICE` environment variable; such runs write and verify
-//! per-preset goldens (`techsweep.<preset>.txt`) instead of the
-//! default-sweep `techsweep.txt`.
+//! — the per-generation CI smoke. The preset is passed to the scenario
+//! registry as a value; such runs write and verify per-preset goldens
+//! (`techsweep.<preset>.txt`) instead of the default-sweep
+//! `techsweep.txt`.
 //!
 //! A single scenario prints exactly what its legacy binary printed
 //! (goldens live in `results/`). `all` fans every cell of every
@@ -53,6 +53,7 @@ use pva_bench::resilient::ExecPolicy;
 use pva_bench::scenarios::{
     find, scenarios, techsweep_metrics, throughput_metrics, throughput_speedup,
 };
+use sdram::DevicePreset;
 
 /// Everything went fine.
 const EXIT_OK: u8 = 0;
@@ -122,7 +123,7 @@ fn usage() -> ! {
 
 /// Comma-separated CLI slugs of every shipped device preset.
 fn device_names() -> String {
-    sdram::DevicePreset::ALL
+    DevicePreset::ALL
         .iter()
         .map(|p| p.name())
         .collect::<Vec<_>>()
@@ -136,6 +137,7 @@ struct Options {
     out_dir: Option<String>,
     verify_dir: Option<String>,
     min_speedup: Option<f64>,
+    device: Option<DevicePreset>,
     journal: Option<String>,
     resume: bool,
     /// Per-cell wall-clock budget in seconds; 0 disables.
@@ -152,6 +154,7 @@ fn parse_options(args: &[String]) -> Options {
         out_dir: None,
         verify_dir: None,
         min_speedup: None,
+        device: None,
         journal: None,
         resume: false,
         cell_timeout: 120.0,
@@ -191,16 +194,14 @@ fn parse_options(args: &[String]) -> Options {
             }
             "--device" => {
                 let name = value("--device");
-                let Some(preset) = sdram::DevicePreset::from_name(name.trim()) else {
+                let Some(preset) = DevicePreset::from_name(name.trim()) else {
                     eprintln!(
                         "--device: unknown preset '{name}' (expected one of: {})",
                         device_names()
                     );
                     std::process::exit(EXIT_USAGE as i32);
                 };
-                // Cells read the selection from the environment (same
-                // channel the chaos grid uses for its spec).
-                std::env::set_var("PVA_BENCH_DEVICE", preset.name());
+                o.device = Some(preset);
             }
             "--journal" => o.journal = Some(value("--journal")),
             "--resume" => o.resume = true,
@@ -267,9 +268,9 @@ fn attach_metrics(reports: &mut [ScenarioReport]) {
 /// scenario renders a different table per preset, so each preset gets
 /// its own golden (`techsweep.<preset>.txt`); JSON records keep the
 /// plain name — CI already separates them by directory.
-fn text_stem(name: &str) -> String {
-    match std::env::var("PVA_BENCH_DEVICE") {
-        Ok(d) if name == "techsweep" && !d.is_empty() => format!("{name}.{d}"),
+fn text_stem(name: &str, device: Option<DevicePreset>) -> String {
+    match device {
+        Some(d) if name == "techsweep" => format!("{name}.{}", d.name()),
         _ => name.to_string(),
     }
 }
@@ -286,7 +287,7 @@ fn write_outputs(reports: &[ScenarioReport], opts: &Options) -> Result<(), Strin
     if let Some(dir) = &opts.out_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
         for r in reports {
-            let path = format!("{dir}/{}.txt", text_stem(r.name));
+            let path = format!("{dir}/{}.txt", text_stem(r.name, opts.device));
             std::fs::write(&path, &r.text).map_err(|e| format!("writing {path}: {e}"))?;
         }
     }
@@ -295,10 +296,10 @@ fn write_outputs(reports: &[ScenarioReport], opts: &Options) -> Result<(), Strin
 
 /// Diffs rendered text against `<dir>/<stem>.txt` goldens; returns the
 /// names that mismatched.
-fn verify(reports: &[ScenarioReport], dir: &str) -> Vec<String> {
+fn verify(reports: &[ScenarioReport], dir: &str, device: Option<DevicePreset>) -> Vec<String> {
     let mut bad = Vec::new();
     for r in reports.iter().filter(|r| r.golden) {
-        let path = format!("{dir}/{}.txt", text_stem(r.name));
+        let path = format!("{dir}/{}.txt", text_stem(r.name, device));
         match std::fs::read_to_string(&path) {
             Ok(golden) if golden == r.text => {}
             Ok(_) => bad.push(format!("{} (differs from {path})", r.name)),
@@ -359,7 +360,7 @@ fn run_checked(selected: &[&Scenario], opts: &Options) -> Result<EngineRun, (Str
 }
 
 fn cmd_all(opts: &Options) -> ExitCode {
-    let all = scenarios();
+    let all = scenarios(opts.device);
     let selected: Vec<&Scenario> = all.iter().filter(|s| !opts.smoke || s.smoke).collect();
     eprintln!(
         "running {} scenario(s) on {} worker(s){}",
@@ -413,7 +414,7 @@ fn cmd_all(opts: &Options) -> ExitCode {
         );
     }
     if let Some(dir) = &opts.verify_dir {
-        let bad = verify(&reports, dir);
+        let bad = verify(&reports, dir, opts.device);
         if bad.is_empty() {
             let checked = reports.iter().filter(|r| r.golden).count();
             println!("verify: {checked} scenario(s) byte-identical to {dir}/");
@@ -439,7 +440,7 @@ fn cmd_all(opts: &Options) -> ExitCode {
 }
 
 fn cmd_one(name: &str, opts: &Options) -> ExitCode {
-    let Some(s) = find(name) else {
+    let Some(s) = find(name, opts.device) else {
         eprintln!("unknown scenario '{name}'; run `pva-bench list`");
         return ExitCode::from(EXIT_USAGE);
     };
@@ -466,7 +467,7 @@ fn cmd_one(name: &str, opts: &Options) -> ExitCode {
         status.cell_failures = true;
     }
     if let Some(dir) = &opts.verify_dir {
-        let bad = verify(&reports, dir);
+        let bad = verify(&reports, dir, opts.device);
         if bad.is_empty() {
             if reports.iter().any(|r| r.golden) {
                 println!("verify: byte-identical to {dir}/");
@@ -483,7 +484,7 @@ fn cmd_one(name: &str, opts: &Options) -> ExitCode {
 
 fn cmd_list() -> ExitCode {
     let mut t = pva_bench::report::Table::new(vec!["name", "alias", "smoke", "description"]);
-    for s in scenarios() {
+    for s in scenarios(None) {
         t.row(vec![
             s.name.to_string(),
             s.alias.to_string(),

@@ -160,24 +160,6 @@ fn classify_payload(
     }
 }
 
-/// Runs an arbitrary closure under the quiet panic hook, classifying
-/// any unwind exactly as cell attempts are classified (a
-/// [`DeadlineExceeded`] payload becomes [`FailureKind::Timeout`],
-/// everything else [`FailureKind::Panic`]). The fault campaign's
-/// per-cell isolation shares this path.
-pub fn catch_classified<R>(f: impl FnOnce() -> R) -> Result<R, AttemptError> {
-    install_quiet_hook();
-    struct Unsilence;
-    impl Drop for Unsilence {
-        fn drop(&mut self) {
-            SILENCE_PANICS.with(|s| s.set(false));
-        }
-    }
-    SILENCE_PANICS.with(|s| s.set(true));
-    let _guard = Unsilence;
-    panic::catch_unwind(AssertUnwindSafe(f)).map_err(|p| classify_payload(p, None))
-}
-
 fn run_silenced(work: Work) -> std::thread::Result<CellData> {
     struct Unsilence;
     impl Drop for Unsilence {
@@ -273,7 +255,7 @@ pub fn run_cell(
         let w = match current.take() {
             Some(w) => w,
             // The scenario no longer produces this cell index (cannot
-            // happen for fn-pointer builds, but fail structurally
+            // happen for a deterministic build, but fail structurally
             // rather than panic if it ever does).
             None => {
                 return Err((

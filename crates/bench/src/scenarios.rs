@@ -27,12 +27,15 @@ use pva_sim::{
 use sdram::{DevicePreset, SdramConfig};
 
 use crate::engine::{CellData, CellSpec, Scenario};
+use crate::faults::faults;
 use crate::report::Table;
 use crate::{ablation_configs, ablation_latency_s5, ablation_rw_mix_s16, ablation_vaxpy_s16};
 
 /// All registered scenarios, in the presentation order of
-/// `scripts/reproduce.sh`.
-pub fn scenarios() -> Vec<Scenario> {
+/// `scripts/reproduce.sh`. `device` narrows the device-parameterized
+/// `techsweep` scenario to one preset (`pva-bench --device`); `None`
+/// runs its default generations.
+pub fn scenarios(device: Option<DevicePreset>) -> Vec<Scenario> {
     vec![
         table1(),
         table2(),
@@ -41,6 +44,7 @@ pub fn scenarios() -> Vec<Scenario> {
         fig9(),
         fig10(),
         fig11(),
+        full_sweep(),
         headline(),
         ablation(),
         ext_indirect(),
@@ -49,7 +53,8 @@ pub fn scenarios() -> Vec<Scenario> {
         related_cvms(),
         related_smc(),
         tech_sweep(),
-        techsweep(),
+        techsweep(device),
+        faults(),
         scaling_banks(),
         design_space(),
         cpu_sensitivity(),
@@ -67,9 +72,9 @@ pub fn dev_scenarios() -> Vec<Scenario> {
 }
 
 /// Looks a scenario up by name or alias (registry first, then the dev
-/// scenarios).
-pub fn find(name: &str) -> Option<Scenario> {
-    scenarios()
+/// scenarios); `device` is passed on to [`scenarios`].
+pub fn find(name: &str, device: Option<DevicePreset>) -> Option<Scenario> {
+    scenarios(device)
         .into_iter()
         .chain(dev_scenarios())
         .find(|s| s.name == name || (!s.alias.is_empty() && s.alias == name))
@@ -136,14 +141,14 @@ fn chaos() -> Scenario {
         title: "dev: fault-injection cells for the resilience harness",
         smoke: false,
         golden: false,
-        build: chaos_cells,
-        render: |cells| {
+        build: Box::new(chaos_cells),
+        render: Box::new(|cells: &[CellData]| {
             let mut out = String::from("chaos cells\n");
             for (i, c) in cells.iter().enumerate() {
                 let _ = writeln!(out, "  cell{i:02} cycles={} bytes={}", c.cycles, c.bytes);
             }
             out
-        },
+        }),
     }
 }
 
@@ -210,14 +215,14 @@ fn fig7() -> Scenario {
         title: "Figure 7: copy/saxpy/scale vs stride on the four systems",
         smoke: false,
         golden: true,
-        build: || stride_sweep_cells(&FIG7_KERNELS),
-        render: |cells| {
+        build: Box::new(|| stride_sweep_cells(&FIG7_KERNELS)),
+        render: Box::new(|cells: &[CellData]| {
             render_stride_sweep(
                 "Figure 7 — cycles per 1024-element kernel, varying stride",
                 &FIG7_KERNELS,
                 cells,
             )
-        },
+        }),
     }
 }
 
@@ -228,14 +233,42 @@ fn fig8() -> Scenario {
         title: "Figure 8: swap/tridiag/vaxpy vs stride on the four systems",
         smoke: false,
         golden: true,
-        build: || stride_sweep_cells(&FIG8_KERNELS),
-        render: |cells| {
+        build: Box::new(|| stride_sweep_cells(&FIG8_KERNELS)),
+        render: Box::new(|cells: &[CellData]| {
             render_stride_sweep(
                 "Figure 8 — cycles per 1024-element kernel, varying stride (continued)",
                 &FIG8_KERNELS,
                 cells,
             )
-        },
+        }),
+    }
+}
+
+// ---------------------------------------------------------------------
+// The full §6.2 sweep as CSV (one monolithic cell).
+
+fn full_sweep() -> Scenario {
+    Scenario {
+        name: "full_sweep",
+        alias: "",
+        title: "Full sweep: 8 patterns x 6 strides x 5 alignments x 4 systems, as CSV",
+        smoke: false,
+        golden: true,
+        build: Box::new(|| {
+            vec![CellSpec::new("all-systems", "960 points", || {
+                let points = kernels::full_sweep(&SystemKind::ALL);
+                let mut csv = String::from("kernel,stride,alignment,system,cycles\n");
+                for p in &points {
+                    let _ = writeln!(
+                        csv,
+                        "{},{},{},{},{}",
+                        p.kernel, p.stride, p.alignment, p.system, p.cycles
+                    );
+                }
+                CellData::text(points.iter().map(|p| p.cycles).sum(), 0, csv)
+            })]
+        }),
+        render: Box::new(|cells: &[CellData]| cells[0].text.clone()),
     }
 }
 
@@ -308,8 +341,8 @@ fn fig9() -> Scenario {
         title: "Figure 9: all kernels at strides 1 and 4",
         smoke: false,
         golden: true,
-        build: || fixed_stride_cells(&FIG9_STRIDES),
-        render: |cells| render_fixed_stride(9, &FIG9_STRIDES, cells),
+        build: Box::new(|| fixed_stride_cells(&FIG9_STRIDES)),
+        render: Box::new(|cells: &[CellData]| render_fixed_stride(9, &FIG9_STRIDES, cells)),
     }
 }
 
@@ -320,8 +353,8 @@ fn fig10() -> Scenario {
         title: "Figure 10: all kernels at strides 8, 16 and 19",
         smoke: false,
         golden: true,
-        build: || fixed_stride_cells(&FIG10_STRIDES),
-        render: |cells| render_fixed_stride(10, &FIG10_STRIDES, cells),
+        build: Box::new(|| fixed_stride_cells(&FIG10_STRIDES)),
+        render: Box::new(|cells: &[CellData]| render_fixed_stride(10, &FIG10_STRIDES, cells)),
     }
 }
 
@@ -354,8 +387,8 @@ fn fig11() -> Scenario {
         title: "Figure 11: vaxpy alignment sensitivity, PVA-SDRAM vs PVA-SRAM",
         smoke: false,
         golden: true,
-        build: vaxpy_detail_cells,
-        render: |cells| {
+        build: Box::new(vaxpy_detail_cells),
+        render: Box::new(|cells: &[CellData]| {
             let base = cells[0].cycles; // stride 1, first alignment, SDRAM
             let mut t = Table::new(vec![
                 "stride",
@@ -396,7 +429,7 @@ fn fig11() -> Scenario {
                  with two cases below 1.0 from an implementation artifact)"
             );
             out
-        },
+        }),
     }
 }
 
@@ -416,7 +449,7 @@ fn headline() -> Scenario {
         title: "The abstract's headline claims, recomputed on the full design space",
         smoke: false,
         golden: true,
-        build: || {
+        build: Box::new(|| {
             let mut cells = Vec::new();
             for &k in &Kernel::ALL {
                 for &s in &STRIDES {
@@ -434,8 +467,8 @@ fn headline() -> Scenario {
             }
             cells.extend(vaxpy_detail_cells());
             cells
-        },
-        render: |cells| {
+        }),
+        render: Box::new(|cells: &[CellData]| {
             let mut vs_cl: (f64, &'static str, u64) = (0.0, "", 0);
             let mut vs_sg: (f64, &'static str, u64) = (0.0, "", 0);
             let mut parity = f64::MAX;
@@ -487,7 +520,7 @@ fn headline() -> Scenario {
             let _ = writeln!(out, "worst-case SDRAM/SRAM gap (fig. 11)     : {gap:.3}");
             let _ = writeln!(out, "  paper claim                            : <= ~1.15");
             out
-        },
+        }),
     }
 }
 
@@ -501,7 +534,7 @@ fn ablation() -> Scenario {
         title: "Ablations of the §5.2 scheduler design choices",
         smoke: false,
         golden: true,
-        build: || {
+        build: Box::new(|| {
             let mut cells = Vec::new();
             for (label, cfg) in ablation_configs() {
                 cells.push(CellSpec::new(label, "latency_s5", move || {
@@ -515,8 +548,8 @@ fn ablation() -> Scenario {
                 }));
             }
             cells
-        },
-        render: |cells| {
+        }),
+        render: Box::new(|cells: &[CellData]| {
             let labels: Vec<&'static str> =
                 ablation_configs().into_iter().map(|(l, _)| l).collect();
             let mut t = Table::new(vec![
@@ -557,7 +590,7 @@ fn ablation() -> Scenario {
                 "fully-pipelined multi-bank workloads are BC-bus-bound and insensitive to these switches"
             );
             out
-        },
+        }),
     }
 }
 
@@ -571,7 +604,7 @@ fn table1() -> Scenario {
         title: "Table 1: hardware complexity proxy and PLA scaling",
         smoke: true,
         golden: true,
-        build: || {
+        build: Box::new(|| {
             vec![CellSpec::new("analysis", "complexity", || {
                 let r = unit_complexity(&PvaConfig::default());
                 let mut out = String::new();
@@ -626,8 +659,8 @@ fn table1() -> Scenario {
                 );
                 CellData::text(0, 0, out)
             })]
-        },
-        render: |cells| cells[0].text.clone(),
+        }),
+        render: Box::new(|cells: &[CellData]| cells[0].text.clone()),
     }
 }
 
@@ -638,7 +671,7 @@ fn table2() -> Scenario {
         title: "Table 2: evaluation kernels with trace self-checks",
         smoke: true,
         golden: true,
-        build: || {
+        build: Box::new(|| {
             vec![CellSpec::new("analysis", "kernels", || {
                 let mut out = String::new();
                 let _ = writeln!(out, "Table 2 — kernels used to evaluate the design\n");
@@ -686,8 +719,8 @@ fn table2() -> Scenario {
                 let _ = writeln!(out, "all traces consistent with Table 2 access patterns");
                 CellData::text(0, elements * WORD_BYTES, out)
             })]
-        },
-        render: |cells| cells[0].text.clone(),
+        }),
+        render: Box::new(|cells: &[CellData]| cells[0].text.clone()),
     }
 }
 
@@ -722,7 +755,7 @@ fn ext_indirect() -> Scenario {
         title: "Extension: two-phase vector-indirect gather vs element-serial",
         smoke: true,
         golden: true,
-        build: || {
+        build: Box::new(|| {
             indirect_patterns()
                 .into_iter()
                 .map(|(name, offsets)| {
@@ -746,8 +779,8 @@ fn ext_indirect() -> Scenario {
                     })
                 })
                 .collect()
-        },
-        render: |cells| {
+        }),
+        render: Box::new(|cells: &[CellData]| {
             let mut t = Table::new(vec![
                 "pattern",
                 "phase1",
@@ -781,7 +814,7 @@ fn ext_indirect() -> Scenario {
                 "spread claims parallelize across banks; single-bank claims serialize (as §7 predicts)"
             );
             out
-        },
+        }),
     }
 }
 
@@ -794,7 +827,7 @@ fn ext_bitrev() -> Scenario {
         title: "Extension: bit-reversed (FFT reorder) gather",
         smoke: false,
         golden: true,
-        build: || {
+        build: Box::new(|| {
             BITREV_SIZES
                 .iter()
                 .map(|&k| {
@@ -832,8 +865,8 @@ fn ext_bitrev() -> Scenario {
                     })
                 })
                 .collect()
-        },
-        render: |cells| {
+        }),
+        render: Box::new(|cells: &[CellData]| {
             let mut t = Table::new(vec![
                 "log2 n",
                 "elements",
@@ -862,7 +895,7 @@ fn ext_bitrev() -> Scenario {
                 "claims are balanced across banks, so the reorder parallelizes despite its poor cache locality"
             );
             out
-        },
+        }),
     }
 }
 
@@ -937,7 +970,7 @@ fn ext_cache_pollution() -> Scenario {
         title: "Extension: cache pollution by strided access, cached vs PVA path",
         smoke: false,
         golden: true,
-        build: || {
+        build: Box::new(|| {
             POLLUTION_STRIDES
                 .iter()
                 .map(|&stride| {
@@ -952,8 +985,8 @@ fn ext_cache_pollution() -> Scenario {
                     })
                 })
                 .collect()
-        },
-        render: |cells| {
+        }),
+        render: Box::new(|cells: &[CellData]| {
             let mut t = Table::new(vec![
                 "stride",
                 "cached: y hits",
@@ -993,7 +1026,7 @@ fn ext_cache_pollution() -> Scenario {
                 "the two bullet points of the paper's introduction, measured"
             );
             out
-        },
+        }),
     }
 }
 
@@ -1027,7 +1060,7 @@ fn related_cvms() -> Scenario {
         title: "Related work: PVA vs CVMS-like subcommand generation",
         smoke: true,
         golden: true,
-        build: || {
+        build: Box::new(|| {
             CVMS_STRIDES
                 .iter()
                 .map(|&stride| {
@@ -1044,8 +1077,8 @@ fn related_cvms() -> Scenario {
                     })
                 })
                 .collect()
-        },
-        render: |cells| {
+        }),
+        render: Box::new(|cells: &[CellData]| {
             let mut t = Table::new(vec![
                 "stride",
                 "pva latency",
@@ -1090,7 +1123,7 @@ fn related_cvms() -> Scenario {
                 "largely hidden once commands pipeline (the paper's latency-hiding point)"
             );
             out
-        },
+        }),
     }
 }
 
@@ -1106,7 +1139,7 @@ fn related_smc() -> Scenario {
         title: "Related work: PVA vs SMC-like stream controller",
         smoke: false,
         golden: true,
-        build: || {
+        build: Box::new(|| {
             let mut cells: Vec<CellSpec> = STRIDES
                 .iter()
                 .map(|&s| {
@@ -1130,8 +1163,8 @@ fn related_smc() -> Scenario {
                 CellData::with_aux(pva + smc, 2 * 32 * WORD_BYTES, vec![pva, smc])
             }));
             cells
-        },
-        render: |cells| {
+        }),
+        render: Box::new(|cells: &[CellData]| {
             let mut t = Table::new(vec![
                 "stride",
                 "pva-sdram",
@@ -1170,7 +1203,7 @@ fn related_smc() -> Scenario {
             );
             let _ = writeln!(out, "wherever more than one bank holds vector elements");
             out
-        },
+        }),
     }
 }
 
@@ -1227,7 +1260,7 @@ fn tech_sweep() -> Scenario {
         title: "DRAM technology sweep: the PVA over EDO/SDRAM/SLDRAM/DRDRAM/SRAM",
         smoke: false,
         golden: true,
-        build: || {
+        build: Box::new(|| {
             tech_list()
                 .into_iter()
                 .map(|(name, sdram)| {
@@ -1247,8 +1280,8 @@ fn tech_sweep() -> Scenario {
                     })
                 })
                 .collect()
-        },
-        render: |cells| {
+        }),
+        render: Box::new(|cells: &[CellData]| {
             let mut t = Table::new(vec![
                 "device",
                 "stride 1",
@@ -1292,7 +1325,7 @@ fn tech_sweep() -> Scenario {
                 "and the core timings separate the technologies, SRAM bounding them below"
             );
             out
-        },
+        }),
     }
 }
 
@@ -1312,19 +1345,11 @@ const TECHSWEEP_DEFAULT: [DevicePreset; 3] = [
 /// of two (cache-pathological), and relatively prime.
 const TECHSWEEP_STRIDES: [u64; 4] = [1, 4, 16, 19];
 
-/// The device generations this run covers. `PVA_BENCH_DEVICE` (set by
-/// `pva-bench --device`) narrows the sweep to a single preset — any
-/// shipped [`DevicePreset`], not just the default trio — which is how
-/// the CI smoke exercises every generation one at a time. An
-/// unrecognized value falls back to the default trio (the `--device`
-/// flag validates before setting the variable).
-fn techsweep_devices() -> Vec<DevicePreset> {
-    match std::env::var("PVA_BENCH_DEVICE") {
-        Ok(name) if !name.trim().is_empty() => DevicePreset::from_name(name.trim())
-            .map(|p| vec![p])
-            .unwrap_or_else(|| TECHSWEEP_DEFAULT.to_vec()),
-        _ => TECHSWEEP_DEFAULT.to_vec(),
-    }
+/// The device generations a run covers: the default trio, or the one
+/// preset `pva-bench --device` selects — any shipped [`DevicePreset`],
+/// which is how the CI smoke exercises every generation one at a time.
+fn techsweep_devices(device: Option<DevicePreset>) -> Vec<DevicePreset> {
+    device.map_or_else(|| TECHSWEEP_DEFAULT.to_vec(), |p| vec![p])
 }
 
 /// One sweep point: (pva, cacheline, serial-gather) cycles for the
@@ -1375,16 +1400,16 @@ fn techsweep_point(preset: DevicePreset, kernel: Kernel, stride: u64) -> (u64, u
     (pva, cacheline, serial, counters)
 }
 
-fn techsweep() -> Scenario {
+fn techsweep(device: Option<DevicePreset>) -> Scenario {
     Scenario {
         name: "techsweep",
         alias: "gen",
         title: "Technology-generation sweep: fig-7 kernels per device preset",
         smoke: true,
         golden: true,
-        build: || {
+        build: Box::new(move || {
             let mut cells = Vec::new();
-            for preset in techsweep_devices() {
+            for preset in techsweep_devices(device) {
                 for &k in &FIG7_KERNELS {
                     for &s in &TECHSWEEP_STRIDES {
                         cells.push(CellSpec::new(
@@ -1406,8 +1431,8 @@ fn techsweep() -> Scenario {
                 }
             }
             cells
-        },
-        render: |cells| {
+        }),
+        render: Box::new(move |cells: &[CellData]| {
             let mut out = String::new();
             let _ = writeln!(
                 out,
@@ -1418,7 +1443,7 @@ fn techsweep() -> Scenario {
                 "(coincident alignment; cycles per 1024-element kernel)"
             );
             let mut idx = 0;
-            for preset in techsweep_devices() {
+            for preset in techsweep_devices(device) {
                 let cfg = SdramConfig::for_device(preset);
                 let _ = writeln!(out, "\n{} — {}", preset.name(), preset.title());
                 let _ = writeln!(
@@ -1464,7 +1489,7 @@ fn techsweep() -> Scenario {
                 let _ = writeln!(out, "vs cacheline: {min_up:.2}x-{max_up:.2}x — {verdict}");
             }
             out
-        },
+        }),
     }
 }
 
@@ -1477,7 +1502,7 @@ fn scaling_banks() -> Scenario {
         title: "Bank-count scaling: throughput and K1-PLA cost vs banks",
         smoke: false,
         golden: true,
-        build: || {
+        build: Box::new(|| {
             BANK_COUNTS
                 .iter()
                 .map(|&m| {
@@ -1498,8 +1523,8 @@ fn scaling_banks() -> Scenario {
                     })
                 })
                 .collect()
-        },
-        render: |cells| {
+        }),
+        render: Box::new(|cells: &[CellData]| {
             let mut t = Table::new(vec![
                 "banks",
                 "stride 1",
@@ -1535,7 +1560,7 @@ fn scaling_banks() -> Scenario {
                 "buy robustness to bad strides, not raw throughput — while K1-PLA cost stays linear"
             );
             out
-        },
+        }),
     }
 }
 
@@ -1550,7 +1575,7 @@ fn design_space() -> Scenario {
         title: "Design-space sweep: vector contexts, transaction ids, staging rate",
         smoke: true,
         golden: true,
-        build: || {
+        build: Box::new(|| {
             let mut cells = Vec::new();
             let probe = |cfg: PvaConfig| {
                 let s19 = gathered_reads(cfg, 19);
@@ -1595,8 +1620,8 @@ fn design_space() -> Scenario {
                 ));
             }
             cells
-        },
-        render: |cells| {
+        }),
+        render: Box::new(|cells: &[CellData]| {
             let mut out = String::new();
             let _ = writeln!(out, "PVA design-space sweep — 16 gathered reads (cycles)\n");
             let _ = writeln!(
@@ -1658,7 +1683,7 @@ fn design_space() -> Scenario {
                 "to spend area on per-bank parallelism rather than deeper queues"
             );
             out
-        },
+        }),
     }
 }
 
@@ -1681,7 +1706,7 @@ fn cpu_sensitivity() -> Scenario {
         title: "CPU sensitivity: outstanding misses, issue gap, vectorizable fraction",
         smoke: false,
         golden: true,
-        build: || {
+        build: Box::new(|| {
             let mut cells = vec![CellSpec::new("cacheline-serial", "baseline", || {
                 let c = run_point(
                     Kernel::Scale,
@@ -1731,8 +1756,8 @@ fn cpu_sensitivity() -> Scenario {
                 ));
             }
             cells
-        },
-        render: |cells| {
+        }),
+        render: Box::new(|cells: &[CellData]| {
             let baseline_cl = cells[0].cycles / 2;
             // (scale = 64 commands; the probe is 32 reads, so halve.)
             let mut out = String::new();
@@ -1802,7 +1827,7 @@ fn cpu_sensitivity() -> Scenario {
                 "exactly the qualification the paper attaches to its own numbers"
             );
             out
-        },
+        }),
     }
 }
 
@@ -1983,7 +2008,7 @@ fn throughput() -> Scenario {
         title: "Simulator throughput: idle-cycle-skipping fast path vs reference model",
         smoke: true,
         golden: false,
-        build: || {
+        build: Box::new(|| {
             PROBE_DEVICES
                 .iter()
                 .enumerate()
@@ -1998,8 +2023,8 @@ fn throughput() -> Scenario {
                     })
                 })
                 .collect()
-        },
-        render: |cells| {
+        }),
+        render: Box::new(|cells: &[CellData]| {
             let mut out = String::new();
             let _ = writeln!(
                 out,
@@ -2069,7 +2094,7 @@ fn throughput() -> Scenario {
                 );
             }
             out
-        },
+        }),
     }
 }
 
@@ -2079,7 +2104,7 @@ mod tests {
 
     #[test]
     fn registry_names_and_aliases_are_unique() {
-        let all = scenarios();
+        let all = scenarios(None);
         let mut names: Vec<&str> = all
             .iter()
             .map(|s| s.name)
@@ -2089,7 +2114,7 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(before, names.len(), "duplicate scenario name or alias");
-        assert_eq!(all.len(), 20);
+        assert_eq!(all.len(), 22);
     }
 
     #[test]
@@ -2098,7 +2123,7 @@ mod tests {
         // equivalence anchor) plus at least two later generations.
         assert!(TECHSWEEP_DEFAULT.contains(&DevicePreset::Sdr100));
         assert!(TECHSWEEP_DEFAULT.len() >= 3);
-        let cells = (find("techsweep").unwrap().build)();
+        let cells = (find("techsweep", None).unwrap().build)();
         assert_eq!(
             cells.len(),
             TECHSWEEP_DEFAULT.len() * FIG7_KERNELS.len() * TECHSWEEP_STRIDES.len()
@@ -2107,17 +2132,20 @@ mod tests {
 
     #[test]
     fn find_resolves_names_and_aliases() {
-        assert_eq!(find("fig7").unwrap().name, "fig7_stride_sweep");
-        assert_eq!(find("fig7_stride_sweep").unwrap().name, "fig7_stride_sweep");
-        assert_eq!(find("throughput").unwrap().name, "throughput");
-        assert!(find("nope").is_none());
+        assert_eq!(find("fig7", None).unwrap().name, "fig7_stride_sweep");
+        assert_eq!(
+            find("fig7_stride_sweep", None).unwrap().name,
+            "fig7_stride_sweep"
+        );
+        assert_eq!(find("throughput", None).unwrap().name, "throughput");
+        assert!(find("nope", None).is_none());
     }
 
     #[test]
     fn chaos_is_a_dev_scenario_outside_the_registry() {
-        assert!(find("chaos").is_some(), "resolvable by name");
+        assert!(find("chaos", None).is_some(), "resolvable by name");
         assert!(
-            scenarios().iter().all(|s| s.name != "chaos"),
+            scenarios(None).iter().all(|s| s.name != "chaos"),
             "but never part of `all`"
         );
         let dev = dev_scenarios();
@@ -2126,7 +2154,7 @@ mod tests {
 
     #[test]
     fn smoke_subset_is_nonempty_and_contains_throughput() {
-        let smoke: Vec<_> = scenarios().into_iter().filter(|s| s.smoke).collect();
+        let smoke: Vec<_> = scenarios(None).into_iter().filter(|s| s.smoke).collect();
         assert!(smoke.len() >= 3);
         assert!(smoke.iter().any(|s| s.name == "throughput"));
     }

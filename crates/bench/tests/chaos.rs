@@ -17,7 +17,7 @@ use pva_bench::engine::{run_scenarios_checked, ExecConfig, RunRecord, Scenario};
 use pva_bench::scenarios::find;
 
 fn must_find(name: &str) -> Scenario {
-    find(name).unwrap_or_else(|| panic!("scenario '{name}' not registered"))
+    find(name, None).unwrap_or_else(|| panic!("scenario '{name}' not registered"))
 }
 
 /// Fresh per-test scratch directory under the target tmpdir.
@@ -234,13 +234,43 @@ fn sigkilled_child_campaign_resumes_byte_identically() {
 #[test]
 fn injected_panic_exits_with_the_cell_failures_code() {
     let dir = scratch("panic-code");
+    let (clean, broken) = (dir.join("clean"), dir.join("broken"));
+    let out = bench_cmd(
+        "cells=3,sleep_ms=1",
+        &["chaos", "--jobs", "1", "--json", clean.to_str().unwrap()],
+    )
+    .output()
+    .expect("child runs");
+    assert!(out.status.success(), "clean run: {out:?}");
     let out = bench_cmd(
         "cells=3,sleep_ms=1,panic=1",
-        &["chaos", "--jobs", "1", "--retries", "1"],
+        &[
+            "chaos",
+            "--jobs",
+            "1",
+            "--retries",
+            "1",
+            "--json",
+            broken.to_str().unwrap(),
+        ],
     )
     .output()
     .expect("child runs");
     assert_eq!(out.status.code(), Some(5), "{out:?}");
+    // The siblings of the quarantined cell complete with unchanged
+    // output.
+    let load = |d: &PathBuf| {
+        let text = std::fs::read_to_string(d.join("BENCH_chaos.json")).expect("record written");
+        RunRecord::from_json(&text)
+            .expect("record parses")
+            .canonical()
+    };
+    let (a, b) = (load(&clean), load(&broken));
+    assert_eq!(b.failures.len(), 1, "only the injected cell fails");
+    assert_eq!(b.failures[0].label, "cell01");
+    for i in [0, 2] {
+        assert_eq!(a.cells[i], b.cells[i], "sibling cell{i:02} changed");
+    }
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(
         err.contains("chaos: injected panic in cell 1"),

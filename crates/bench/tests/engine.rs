@@ -1,10 +1,14 @@
 //! Engine integration tests: golden rendering for `report::Table`,
-//! JSON record round-trips, determinism across worker counts, and
-//! byte-identity of scenario output against the committed goldens.
+//! JSON record round-trips, determinism across worker counts,
+//! byte-identity of scenario output against the committed goldens, and
+//! journal resume refusing cells built for another device.
 
-use pva_bench::engine::{run_scenarios, RunRecord, Scenario};
+use pva_bench::engine::{
+    run_scenarios_checked, EngineError, ExecConfig, RunRecord, Scenario, ScenarioReport,
+};
 use pva_bench::report::Table;
 use pva_bench::scenarios::find;
+use sdram::DevicePreset;
 
 #[test]
 fn table_rendering_is_stable() {
@@ -21,7 +25,15 @@ kernel  stride  cycles
 }
 
 fn must_find(name: &str) -> Scenario {
-    find(name).unwrap_or_else(|| panic!("scenario '{name}' not registered"))
+    find(name, None).unwrap_or_else(|| panic!("scenario '{name}' not registered"))
+}
+
+/// Runs scenarios on `jobs` workers with the default policy and no
+/// journal; every cell must succeed.
+fn run_ok(scenarios: &[&Scenario], jobs: usize) -> Vec<ScenarioReport> {
+    let run = run_scenarios_checked(scenarios, &ExecConfig::with_jobs(jobs)).expect("engine run");
+    assert_eq!(run.failed_cells, 0, "no cell may fail");
+    run.reports
 }
 
 /// Zeroes the wall-clock fields, which legitimately vary run to run.
@@ -40,8 +52,8 @@ fn jobs_1_and_jobs_8_produce_identical_records() {
     let names = ["related_cvms", "design_space", "ext_indirect"];
     let scenarios: Vec<Scenario> = names.iter().map(|n| must_find(n)).collect();
     let refs: Vec<&Scenario> = scenarios.iter().collect();
-    let serial = run_scenarios(&refs, 1);
-    let parallel = run_scenarios(&refs, 8);
+    let serial = run_ok(&refs, 1);
+    let parallel = run_ok(&refs, 8);
     assert_eq!(serial.len(), parallel.len());
     for (a, b) in serial.iter().zip(&parallel) {
         assert_eq!(
@@ -61,7 +73,7 @@ fn jobs_1_and_jobs_8_produce_identical_records() {
 #[test]
 fn engine_records_round_trip_through_json() {
     let s = must_find("table2_kernels");
-    let reports = run_scenarios(&[&s], 2);
+    let reports = run_ok(&[&s], 2);
     let rec = &reports[0].record;
     let parsed = RunRecord::from_json(&rec.to_json()).expect("emitted record parses");
     assert_eq!(&parsed, rec);
@@ -72,7 +84,7 @@ fn engine_records_round_trip_through_json() {
 #[test]
 fn cheap_scenarios_match_committed_goldens() {
     let results = format!("{}/../../results", env!("CARGO_MANIFEST_DIR"));
-    for name in [
+    let mut checks: Vec<(Scenario, String)> = [
         "table1_complexity",
         "table2_kernels",
         "ext_indirect",
@@ -84,19 +96,65 @@ fn cheap_scenarios_match_committed_goldens() {
         // fig-7 kernels, so a preset drifting from the legacy default
         // config shows up as a golden mismatch here.
         "techsweep",
-    ] {
-        let s = must_find(name);
-        let reports = run_scenarios(&[&s], 4);
-        let golden = std::fs::read_to_string(format!("{results}/{name}.txt"))
-            .unwrap_or_else(|e| panic!("golden for {name}: {e}"));
-        assert_eq!(reports[0].text, golden, "{name} output drifted from golden");
+        // The fault campaign: a silent corruption or hang would
+        // quarantine a cell and replace the text with a failure summary.
+        "faults",
+    ]
+    .iter()
+    .map(|name| (must_find(name), format!("{results}/{name}.txt")))
+    .collect();
+    // `--device` runs: one golden per shipped preset.
+    checks.extend(DevicePreset::ALL.iter().map(|&p| {
+        let s = find("techsweep", Some(p)).expect("techsweep registered");
+        (s, format!("{results}/techsweep.{}.txt", p.name()))
+    }));
+    // One batch, so the pool stays busy across scenario boundaries.
+    let refs: Vec<&Scenario> = checks.iter().map(|(s, _)| s).collect();
+    for ((_, path), report) in checks.iter().zip(run_ok(&refs, 4)) {
+        let golden = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("golden {path}: {e}"));
+        assert_eq!(report.text, golden, "{} drifted from {path}", report.name);
     }
+}
+
+#[test]
+fn resume_refuses_a_journal_from_another_device() {
+    let path = std::env::temp_dir().join(format!(
+        "pva-bench-engine-device-{}.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let journaled = ExecConfig {
+        journal: Some(path.clone()),
+        ..ExecConfig::with_jobs(2)
+    };
+    let hbm2 = find("techsweep", Some(DevicePreset::Hbm2Like)).expect("techsweep registered");
+    run_scenarios_checked(&[&hbm2], &journaled).expect("journaled hbm2 run");
+
+    let resume = ExecConfig {
+        resume: true,
+        ..journaled
+    };
+    let sdr100 = find("techsweep", Some(DevicePreset::Sdr100)).expect("techsweep registered");
+    let err = run_scenarios_checked(&[&sdr100], &resume).expect_err("device mismatch");
+    let _ = std::fs::remove_file(&path);
+    let EngineError::Environment(msg) = err else {
+        panic!("expected an environment error, got {err:?}");
+    };
+    assert!(
+        msg.contains("hbm2/copy/s1"),
+        "names the journaled cell: {msg}"
+    );
+    assert!(
+        msg.contains("sdr100/copy/s1"),
+        "names the rebuilt cell: {msg}"
+    );
+    assert!(msg.contains("without --resume"), "{msg}");
 }
 
 #[test]
 fn record_totals_are_cell_sums() {
     let s = must_find("related_cvms");
-    let reports = run_scenarios(&[&s], 2);
+    let reports = run_ok(&[&s], 2);
     let r = &reports[0].record;
     assert_eq!(
         r.total_cycles,

@@ -1,17 +1,45 @@
-//! Seeded fault-campaign smoke: the robustness acceptance criteria in
-//! test form. With ECC on, no scenario may produce a silent corruption
-//! or a hang; with ECC off at a high transient rate, silent corruption
-//! must actually show up (proving the campaign can detect it).
+//! Seeded fault-campaign checks: the robustness acceptance criteria in
+//! test form. With ECC on, no fault scenario may produce a silent
+//! corruption or a hang; with ECC off at a high transient rate, silent
+//! corruption must actually show up (proving the campaign can detect
+//! it). These run the cell function on short vectors; the full-size
+//! `faults` scenario is checked against its golden in `engine.rs`.
 
-use pva_bench::campaign::{run_campaign, CampaignConfig};
+use kernels::Kernel;
+use pva_bench::faults::{fault_configs, run_cell, CampaignConfig, CellOutcome, PAPER_CAMPAIGN};
+
+/// A short, fault-dense campaign: 128-element vectors and 10% fault
+/// rates keep the debug-build run fast while still exercising every
+/// mechanism.
+fn quick(seed: u64) -> CampaignConfig {
+    CampaignConfig {
+        seed,
+        elements: 128,
+        transient_ppm: 100_000,
+        stuck_ppm: 100_000,
+        ..PAPER_CAMPAIGN
+    }
+}
+
+/// Every fault config × every base kernel, in the scenario's row order.
+fn campaign(cc: &CampaignConfig) -> Vec<CellOutcome> {
+    fault_configs(cc)
+        .into_iter()
+        .flat_map(|(name, unit_cfg)| Kernel::BASE.map(|k| run_cell(cc, k, name, unit_cfg)))
+        .collect()
+}
+
+fn silent(c: &CellOutcome) -> u64 {
+    c.device_silent + c.silent_mismatches
+}
 
 #[test]
 fn ecc_campaign_has_zero_silent_corruptions() {
-    let report = run_campaign(&CampaignConfig::smoke(0xC0FFEE));
-    assert_eq!(report.hung_cells(), 0, "no cell may hang");
-    for c in &report.cells {
+    let cells = campaign(&quick(0xC0FFEE));
+    for c in &cells {
+        assert!(!c.hung, "{}/{} must not hang", c.kernel, c.scenario);
         assert_eq!(
-            c.device_silent + c.silent_mismatches,
+            silent(c),
             0,
             "{}/{} must have no silent corruption",
             c.kernel,
@@ -19,34 +47,37 @@ fn ecc_campaign_has_zero_silent_corruptions() {
         );
     }
     // The campaign exercised real faults — it did not pass vacuously.
-    assert!(report.total_corrected() > 0, "ECC corrections must occur");
     assert!(
-        report.total_detected() > 0,
+        cells.iter().map(|c| c.corrected).sum::<u64>() > 0,
+        "ECC corrections must occur"
+    );
+    assert!(
+        cells.iter().map(|c| c.detected).sum::<u64>() > 0,
         "the dead-bank scenarios must detect poisoned reads"
     );
 }
 
 #[test]
 fn ecc_off_campaign_detects_silent_corruption() {
-    let mut cc = CampaignConfig::smoke(0xC0FFEE);
-    cc.ecc = false;
-    cc.transient_ppm = 500_000;
-    let report = run_campaign(&cc);
+    let cc = CampaignConfig {
+        ecc: false,
+        transient_ppm: 500_000,
+        ..quick(0xC0FFEE)
+    };
     assert!(
-        report.total_silent() > 0,
+        campaign(&cc).iter().map(silent).sum::<u64>() > 0,
         "without ECC, a 50% transient rate must corrupt silently"
     );
 }
 
 #[test]
 fn refresh_storm_decays_rows_without_silent_corruption() {
-    let report = run_campaign(&CampaignConfig::smoke(0xC0FFEE));
-    let storm: Vec<_> = report
-        .cells
-        .iter()
-        .filter(|c| c.scenario == "refresh-storm")
-        .collect();
-    assert_eq!(storm.len(), 6, "every base kernel runs the storm");
+    let cc = quick(0xC0FFEE);
+    let (name, unit_cfg) = fault_configs(&cc)
+        .into_iter()
+        .find(|(name, _)| *name == "refresh-storm")
+        .expect("refresh-storm is a fault config");
+    let storm = Kernel::BASE.map(|k| run_cell(&cc, k, name, unit_cfg));
     let decayed: u64 = storm.iter().map(|c| c.decayed_words).sum();
     assert!(
         decayed > 0,
@@ -59,7 +90,7 @@ fn refresh_storm_decays_rows_without_silent_corruption() {
             c.kernel
         );
         assert_eq!(
-            c.device_silent + c.silent_mismatches,
+            silent(c),
             0,
             "{}: decay + ECC must never corrupt silently",
             c.kernel
@@ -68,54 +99,18 @@ fn refresh_storm_decays_rows_without_silent_corruption() {
 }
 
 #[test]
-fn injected_panic_is_quarantined_and_siblings_survive() {
-    let mut cc = CampaignConfig::smoke(0xC0FFEE);
-    cc.inject_panic = Some("copy");
-    cc.max_attempts = 2;
-    let report = run_campaign(&cc);
-    assert!(
-        report.quarantined.iter().all(|q| q.kernel == "copy"),
-        "only the chaos kernel may be quarantined"
-    );
-    assert!(
-        !report.quarantined.is_empty(),
-        "the injected panic must be quarantined, not swallowed"
-    );
-    for q in &report.quarantined {
-        assert_eq!(q.attempts, 2, "every configured attempt is used");
-        assert!(
-            q.message.contains("[panic] chaos: injected campaign panic"),
-            "classified message, got: {}",
-            q.message
-        );
-    }
-    // Every non-chaos cell completed exactly as an uninjected run would.
-    let clean = run_campaign(&CampaignConfig::smoke(0xC0FFEE));
-    let key = |cells: &[pva_bench::campaign::CellOutcome]| {
-        cells
-            .iter()
-            .filter(|c| c.kernel != "copy")
-            .map(|c| (c.kernel, c.scenario, c.cycles, c.corrected, c.detected))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(key(&report.cells), key(&clean.cells));
-}
-
-#[test]
 fn campaign_is_reproducible_from_its_seed() {
-    let a = run_campaign(&CampaignConfig::smoke(42));
-    let b = run_campaign(&CampaignConfig::smoke(42));
-    let key = |r: &pva_bench::campaign::CampaignReport| {
-        r.cells
+    let key = |cells: Vec<CellOutcome>| {
+        cells
             .iter()
             .map(|c| (c.cycles, c.corrected, c.detected, c.flagged_elements))
             .collect::<Vec<_>>()
     };
-    assert_eq!(key(&a), key(&b));
-    let c = run_campaign(&CampaignConfig::smoke(43));
+    let a = key(campaign(&quick(42)));
+    assert_eq!(a, key(campaign(&quick(42))));
     assert_ne!(
-        key(&a),
-        key(&c),
+        a,
+        key(campaign(&quick(43))),
         "a different seed must steer the fault streams differently"
     );
 }
