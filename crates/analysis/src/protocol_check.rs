@@ -1,12 +1,13 @@
 //! Bounded model checking of the SDRAM timing protocol.
 //!
-//! The device in `crates/sdram` enforces timing operationally (restimer
-//! counters consulted by `can_issue`); [`sdram::protocol`] states the
-//! same protocol declaratively (which timers gate each command class,
-//! how long each accepted command arms them). This pass exhaustively
-//! explores the product automaton of bank state × timer residuals for
-//! every shipped [`SdramConfig`] preset, carrying a *live cloned
-//! device* along every path, and proves on each explored edge that
+//! [`sdram::protocol`] states the timing protocol as tables (which
+//! timers gate each command class, how long each accepted command arms
+//! them), and the device in `crates/sdram` executes those tables over
+//! its restimer counters. This pass compares the tables with the
+//! device: it exhaustively explores the product automaton of bank
+//! state × timer residuals for every shipped [`SdramConfig`] preset,
+//! carrying a *live cloned device* along every path, and proves on each
+//! explored edge that
 //!
 //! * **(a) timing safety** — the device accepts a command exactly when
 //!   the declarative model says every gating constraint is expired (no
@@ -34,12 +35,19 @@
 //! transition table and the [`DeadlineModel`] so the mutation tests can
 //! hand it deliberately corrupted copies and prove the checker notices
 //! the disagreement with the live device.
+//!
+//! Because the device and this model read the same gate and arm
+//! tables, a wrong table entry shows up on both sides alike. The walk
+//! therefore also replays every command the device accepts through the
+//! [`TimingAuditor`], which checks the stream against the
+//! configuration's timing parameters with absolute timestamps and no
+//! use of the tables; its violations are findings too.
 
 use std::collections::{HashMap, VecDeque};
 
 use sdram::{
     fsm, protocol, BankEvent, BankState, ChannelTimerId, CmdClass, DeadlineModel, Outcome, Sdram,
-    SdramCmd, SdramConfig, TimerId, MAX_BANK_GROUPS, TRANSITIONS,
+    SdramCmd, SdramConfig, TimerId, TimingAuditor, MAX_BANK_GROUPS, TRANSITIONS,
 };
 
 use crate::config_check;
@@ -710,7 +718,9 @@ fn check_multibank_alignment(
 /// bank)` pair — and afterwards every observable residual — against the
 /// independent multi-bank model. This is the pass that exercises the
 /// cross-bank channel couplings (tCCD_S between groups, tRRD and tFAW
-/// across banks) that the bank-0 exploration cannot reach.
+/// across banks) that the bank-0 exploration cannot reach. Every
+/// issued command also goes to a [`TimingAuditor`] for `cfg`, and each
+/// violation it records is a finding.
 pub fn check_preset_multibank(
     label: &str,
     cfg: &SdramConfig,
@@ -728,6 +738,7 @@ pub fn check_preset_multibank(
         }
     };
     let bank_count = cfg.internal_banks.min(WALK_BANKS);
+    let mut auditor = TimingAuditor::new(*cfg);
     let mut abs = MultiAbs::new(bank_count);
     abs.sync(cfg);
 
@@ -792,7 +803,9 @@ pub fn check_preset_multibank(
         let roll = step_rng();
         if !legal.is_empty() && roll & 3 != 0 {
             let (class, bank) = legal[(roll >> 8) as usize % legal.len()];
-            if let Err(e) = dev.issue(command_of(class, bank)) {
+            let cmd = command_of(class, bank);
+            auditor.observe(dev.now(), &cmd);
+            if let Err(e) = dev.issue(cmd) {
                 out.push(format!(
                     "{label}: step {step}: issue({} bank {bank}) failed after \
                      can_issue passed: {e}",
@@ -807,6 +820,12 @@ pub fn check_preset_multibank(
         abs.tick(cfg);
         check_multibank_alignment(label, &format!("step {step}"), &dev, &abs, cfg, &mut out);
     }
+    out.extend(auditor.violations().iter().map(|v| {
+        format!(
+            "{label}: auditor: cycle {}: bank {}: device accepted a command that breaks {}",
+            v.cycle, v.bank, v.rule
+        )
+    }));
     out
 }
 

@@ -114,58 +114,6 @@ pub fn vaxpy_detail() -> Vec<VaxpyDetailPoint> {
     out
 }
 
-/// The abstract's headline numbers, recomputed on this model.
-#[derive(Debug, Clone, Copy)]
-pub struct Headline {
-    /// Largest speedup of PVA-SDRAM (min) over the cache-line serial
-    /// system across the whole design space ("up to 32.8x" in the
-    /// paper), and where it occurred.
-    pub vs_cacheline: (f64, &'static str, u64),
-    /// Largest speedup over the gathering serial system ("3.3x faster
-    /// than a pipelined vector unit").
-    pub vs_serial_gather: (f64, &'static str, u64),
-    /// Worst unit-stride ratio of cache-line serial to PVA ("without
-    /// hurting normal cache line fill performance": >= ~1.0 means the
-    /// PVA matches line fills).
-    pub unit_stride_parity: f64,
-    /// Worst-case SDRAM/SRAM ratio over the vaxpy detail (paper: at most
-    /// ~15% slower, figure 11).
-    pub sram_gap: f64,
-}
-
-/// Recomputes the headline claims from full sweeps.
-pub fn headline() -> Headline {
-    let mut vs_cl: (f64, &'static str, u64) = (0.0, "", 0);
-    let mut vs_sg: (f64, &'static str, u64) = (0.0, "", 0);
-    let mut parity = f64::MAX;
-    for k in Kernel::ALL {
-        for &s in &STRIDES {
-            let pva = run_cell(k, s, SystemKind::PvaSdram).min as f64;
-            let cl = run_cell(k, s, SystemKind::CachelineSerial).min as f64;
-            let sg = run_cell(k, s, SystemKind::SerialGather).min as f64;
-            if cl / pva > vs_cl.0 {
-                vs_cl = (cl / pva, k.name(), s);
-            }
-            if sg / pva > vs_sg.0 {
-                vs_sg = (sg / pva, k.name(), s);
-            }
-            if s == 1 {
-                parity = parity.min(cl / pva);
-            }
-        }
-    }
-    let mut gap: f64 = 1.0;
-    for p in vaxpy_detail() {
-        gap = gap.max(p.sdram as f64 / p.sram as f64);
-    }
-    Headline {
-        vs_cacheline: vs_cl,
-        vs_serial_gather: vs_sg,
-        unit_stride_parity: parity,
-        sram_gap: gap,
-    }
-}
-
 /// One configuration of the scheduler-ablation study and its cycles on
 /// probes chosen to be *scheduler-bound* rather than staging-bus-bound
 /// (at full pipelining the 17-cycle/command BC-bus floor hides the
@@ -304,13 +252,43 @@ mod tests {
         }
     }
 
+    /// The value after the `:` of the golden line starting with
+    /// `label`, without a trailing `x`.
+    fn headline_value(golden: &str, label: &str) -> f64 {
+        let line = golden
+            .lines()
+            .find(|l| l.starts_with(label))
+            .unwrap_or_else(|| panic!("no `{label}` line in the headline golden"));
+        let (_, rest) = line.split_once(':').expect("label: value");
+        let value = rest.split_whitespace().next().expect("a value");
+        value
+            .trim_end_matches('x')
+            .parse()
+            .unwrap_or_else(|e| panic!("`{value}` in `{line}`: {e}"))
+    }
+
     #[test]
     fn headline_directions_are_right() {
-        let h = headline();
-        assert!(h.vs_cacheline.0 > 5.0, "big win at large strides");
-        assert!(h.vs_serial_gather.0 > 1.0, "beats serial gathering");
-        assert!(h.unit_stride_parity > 0.7, "line fills not hurt");
-        assert!(h.sram_gap < 1.5, "close to SRAM");
+        // `pva-bench all --verify results` pins this golden to the code.
+        let path = format!(
+            "{}/../../results/headline_speedups.txt",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let golden = std::fs::read_to_string(&path).expect("headline golden readable");
+        let value = |label| headline_value(&golden, label);
+        assert!(
+            value("max speedup vs cache-line serial") > 5.0,
+            "big win at large strides"
+        );
+        assert!(
+            value("max speedup vs gathering serial") > 1.0,
+            "beats serial gathering"
+        );
+        assert!(
+            value("worst unit-stride cacheline/pva") > 0.7,
+            "line fills not hurt"
+        );
+        assert!(value("worst-case SDRAM/SRAM gap") < 1.5, "close to SRAM");
     }
 
     #[test]

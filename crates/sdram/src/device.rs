@@ -8,6 +8,14 @@
 //! NOP — and enforces every timing restriction with
 //! [restimers](crate::Restimer) exactly as §5.2.5 prescribes.
 //!
+//! The device executes the protocol tables of [`crate::protocol`]: it
+//! holds no per-command list of timers of its own. [`Sdram::can_issue`]
+//! checks the row-buffer state and then walks the command's gates in
+//! table order; [`Sdram::issue`] arms the command's timers with the
+//! [`DeadlineModel`] built from the config. Only the auto-precharge
+//! composite and a write burst's last-beat tWR offset are spelled out
+//! here, because the tables cannot express them.
+//!
 //! The device is *passive*: callers (bank controllers, baseline
 //! memory models) query [`Sdram::can_issue`] and schedule around the
 //! answer. Issuing an illegal command is an error, never silent
@@ -22,7 +30,7 @@ use crate::config::{ConfigError, SdramConfig};
 use crate::ecc;
 use crate::fault::FaultEngine;
 use crate::fsm::{self, BankEvent, BankState, CmdClass};
-use crate::protocol::TimerId;
+use crate::protocol::{channel_arms, channel_gates, gates, ChannelTimerId, DeadlineModel, TimerId};
 use crate::restimer::{BankTimers, ChannelTimers};
 
 /// A command presented to the SDRAM at a clock edge (§2.3.3: "it is more
@@ -76,12 +84,19 @@ pub enum SdramCmd {
 /// Why a command could not be issued this cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IssueError {
-    /// A restimer for the named parameter has not expired.
+    /// A per-bank restimer gating the command has not expired.
     TimingViolation {
         /// Internal bank the violation is on.
         bank: u32,
-        /// Name of the violated timing parameter.
-        timer: &'static str,
+        /// The violated timing parameter.
+        timer: TimerId,
+    },
+    /// A channel-level restimer gating the command has not expired.
+    ChannelViolation {
+        /// Internal bank the command addressed.
+        bank: u32,
+        /// The violated timing parameter.
+        timer: ChannelTimerId,
     },
     /// READ/WRITE issued with no row open in the bank.
     RowNotOpen {
@@ -114,7 +129,15 @@ impl core::fmt::Display for IssueError {
             IssueError::TimingViolation { bank, timer } => {
                 write!(
                     f,
-                    "timing parameter {timer} not satisfied on internal bank {bank}"
+                    "timing parameter {} not satisfied on internal bank {bank}",
+                    timer.name()
+                )
+            }
+            IssueError::ChannelViolation { bank, timer } => {
+                write!(
+                    f,
+                    "timing parameter {} not satisfied on internal bank {bank}",
+                    timer.name()
                 )
             }
             IssueError::RowNotOpen { bank } => {
@@ -298,6 +321,8 @@ pub struct Sdram {
     /// Device-wide channel timers (tCCD/tRRD/tFAW); permanently open on
     /// generations that leave the parameters at 0.
     channel: ChannelTimers,
+    /// How long each accepted command arms each restimer.
+    deadlines: DeadlineModel,
     /// Written storage pages, keyed by device-local address shifted
     /// right by `page_bits`.
     pages: FastMap<u64, Page>,
@@ -356,6 +381,7 @@ impl Sdram {
             row_fresh: vec![false; n],
             timers: vec![BankTimers::new(); n],
             channel: ChannelTimers::new(config.bank_groups),
+            deadlines: DeadlineModel::of(&config),
             pages: FastMap::default(),
             page_bits: config.log2_cols.min(MAX_PAGE_BITS),
             row_restore: FastMap::default(),
@@ -417,14 +443,14 @@ impl Sdram {
         let b = bank as usize;
         match self.rows[b] {
             RowState::Open { .. } => {
-                if self.timers[b].rcd.available(self.now) {
+                if self.timers[b][TimerId::Rcd].available(self.now) {
                     BankState::Active
                 } else {
                     BankState::Activating
                 }
             }
             RowState::Closed => {
-                if self.timers[b].rp.available(self.now) {
+                if self.timers[b][TimerId::Rp].available(self.now) {
                     BankState::Idle
                 } else {
                     BankState::Precharging
@@ -460,87 +486,123 @@ impl Sdram {
     ///
     /// Returns the same [`IssueError`] that [`Sdram::issue`] would.
     pub fn can_issue(&self, cmd: &SdramCmd) -> Result<(), IssueError> {
-        if self.issued_this_cycle && !matches!(cmd, SdramCmd::Nop) {
+        if matches!(cmd, SdramCmd::Nop) {
+            return Ok(());
+        }
+        if self.issued_this_cycle {
             return Err(IssueError::CommandBusBusy);
         }
-        if self.refresh_busy > 0 && !matches!(cmd, SdramCmd::Nop) {
+        if self.refresh_busy > 0 {
             return Err(IssueError::RefreshInProgress);
         }
+        // Each arm names its class, so the table lookups below resolve
+        // at compile time.
         match *cmd {
             SdramCmd::Nop => Ok(()),
             SdramCmd::Refresh => {
                 if self.rows.iter().any(|r| matches!(r, RowState::Open { .. })) {
                     return Err(IssueError::RefreshNeedsIdleBanks);
                 }
-                for (i, t) in self.timers.iter().enumerate() {
-                    if !t.rp.available(self.now) {
-                        return Err(IssueError::TimingViolation {
-                            bank: i as u32,
-                            timer: "tRP",
-                        });
-                    }
-                }
-                Ok(())
+                (0..self.config.total_row_buffers())
+                    .try_for_each(|b| self.check_gates(CmdClass::Refresh, b))
             }
-            SdramCmd::Activate { bank, row: _ } => {
-                let (state, timers) = self.bank(bank)?;
-                if matches!(state, RowState::Open { .. }) {
+            SdramCmd::Activate { bank, .. } => {
+                if matches!(self.row_state(bank)?, RowState::Open { .. }) {
                     return Err(IssueError::RowAlreadyOpen { bank });
                 }
-                if !timers.rp.available(self.now) {
-                    return Err(IssueError::TimingViolation { bank, timer: "tRP" });
-                }
-                if !timers.rc.available(self.now) {
-                    return Err(IssueError::TimingViolation { bank, timer: "tRC" });
-                }
-                if !self.channel.rrd_available(self.now) {
-                    return Err(IssueError::TimingViolation {
-                        bank,
-                        timer: "tRRD",
-                    });
-                }
-                if !self.channel.faw_available(self.now) {
-                    return Err(IssueError::TimingViolation {
-                        bank,
-                        timer: "tFAW",
-                    });
-                }
-                Ok(())
+                self.check_gates(CmdClass::Activate, bank)
             }
-            SdramCmd::Read { bank, .. } | SdramCmd::Write { bank, .. } => {
-                let (state, timers) = self.bank(bank)?;
-                if !matches!(state, RowState::Open { .. }) {
+            SdramCmd::Read {
+                bank,
+                auto_precharge,
+                ..
+            } => {
+                if matches!(self.row_state(bank)?, RowState::Closed) {
                     return Err(IssueError::RowNotOpen { bank });
                 }
-                if !timers.rcd.available(self.now) {
-                    return Err(IssueError::TimingViolation {
-                        bank,
-                        timer: "tRCD",
-                    });
+                let class = if auto_precharge {
+                    CmdClass::ReadAuto
+                } else {
+                    CmdClass::Read
+                };
+                self.check_gates(class, bank)
+            }
+            SdramCmd::Write {
+                bank,
+                auto_precharge,
+                ..
+            } => {
+                if matches!(self.row_state(bank)?, RowState::Closed) {
+                    return Err(IssueError::RowNotOpen { bank });
                 }
-                let group = self.config.bank_group_of(bank) as usize;
-                if !self.channel.can_cas(self.now, group) {
-                    return Err(IssueError::TimingViolation {
-                        bank,
-                        timer: "tCCD",
-                    });
-                }
-                Ok(())
+                let class = if auto_precharge {
+                    CmdClass::WriteAuto
+                } else {
+                    CmdClass::Write
+                };
+                self.check_gates(class, bank)
             }
             SdramCmd::Precharge { bank } => {
-                let (_, timers) = self.bank(bank)?;
-                if !timers.ras.available(self.now) {
-                    return Err(IssueError::TimingViolation {
-                        bank,
-                        timer: "tRAS",
-                    });
-                }
-                if !timers.wr.available(self.now) {
-                    return Err(IssueError::TimingViolation { bank, timer: "tWR" });
-                }
-                Ok(())
+                self.row_state(bank)?;
+                self.check_gates(CmdClass::Precharge, bank)
             }
         }
+    }
+
+    /// The timing half of [`Sdram::can_issue`]: reports the first gate
+    /// of `class` on `bank` that has not expired, bank gates before
+    /// channel gates, each in table order.
+    #[inline(always)]
+    fn check_gates(&self, class: CmdClass, bank: u32) -> Result<(), IssueError> {
+        let timers = &self.timers[bank as usize];
+        for &timer in gates(class) {
+            if !timers[timer].available(self.now) {
+                return Err(IssueError::TimingViolation { bank, timer });
+            }
+        }
+        let group = self.config.bank_group_of(bank) as usize;
+        for &timer in channel_gates(class) {
+            if self.channel.ready_at(timer, group) > self.now {
+                return Err(IssueError::ChannelViolation { bank, timer });
+            }
+        }
+        Ok(())
+    }
+
+    /// First cycle every gate of `class` on `bank` has expired (may be
+    /// in the past).
+    #[inline(always)]
+    fn ready_at(&self, class: CmdClass, bank: u32) -> u64 {
+        let group = self.config.bank_group_of(bank) as usize;
+        channel_gates(class).iter().fold(
+            self.timers[bank as usize].ready_at(gates(class)),
+            |at, &timer| at.max(self.channel.ready_at(timer, group)),
+        )
+    }
+
+    /// Arms every timer an accepted command of `class` on `bank` arms,
+    /// for its [`DeadlineModel`] duration. `wr_delay` extends tWR: a
+    /// write burst's tWR runs from its last data beat, not the CAS.
+    #[inline(always)]
+    fn arm(&mut self, class: CmdClass, bank: u32, wr_delay: u64) {
+        let now = self.now;
+        let model = &self.deadlines;
+        let timers = &mut self.timers[bank as usize];
+        let mut until = now;
+        for &timer in DeadlineModel::arms(class) {
+            let mut wait = model.duration(timer);
+            if timer == TimerId::Wr {
+                wait += wr_delay;
+            }
+            timers[timer].arm(now, wait);
+            until = until.max(now.saturating_add(wait));
+        }
+        let group = self.config.bank_group_of(bank) as usize;
+        for &timer in channel_arms(class) {
+            self.channel.arm(timer, now, group, model);
+            until = until.max(now.saturating_add(model.channel_duration(timer, true)));
+        }
+        self.note_armed(until);
     }
 
     /// Issues `cmd` at the current clock edge.
@@ -550,6 +612,21 @@ impl Sdram {
     /// Rejects illegal commands (timing violations, closed-row accesses,
     /// double-issue) without changing device state.
     pub fn issue(&mut self, cmd: SdramCmd) -> Result<(), IssueError> {
+        match cmd {
+            SdramCmd::Read {
+                bank,
+                col,
+                auto_precharge,
+                tag,
+            } => return self.issue_read_burst(bank, auto_precharge, &[(col, tag)]),
+            SdramCmd::Write {
+                bank,
+                col,
+                data,
+                auto_precharge,
+            } => return self.issue_write_burst(bank, auto_precharge, &[(col, data)]),
+            _ => {}
+        }
         self.can_issue(&cmd)?;
         match cmd {
             SdramCmd::Nop => return Ok(()),
@@ -558,6 +635,7 @@ impl Sdram {
                 // the busy counter starts so the table sees Idle).
                 for b in 0..self.config.total_row_buffers() {
                     self.apply_bank_event(b, CmdClass::Refresh, 0);
+                    self.arm(CmdClass::Refresh, b, 0);
                 }
                 // A refresh recharges whatever the cells hold *now*: a
                 // row whose retention window already lapsed has decayed
@@ -580,116 +658,18 @@ impl Sdram {
                     self.decay_row_if_lapsed(bank, row);
                     self.row_restore.insert((bank, row), self.now);
                 }
-                let cfg = self.config;
-                let b = bank as usize;
                 self.apply_bank_event(bank, CmdClass::Activate, row);
                 self.row_fresh[bank as usize] = true;
-                let now = self.now;
-                let t = &mut self.timers[b];
-                t.rcd.arm(now, cfg.t_rcd as u64);
-                t.ras.arm(now, cfg.t_ras as u64);
-                t.rc.arm(now, cfg.t_rc as u64);
-                self.channel
-                    .note_activate(now, cfg.t_rrd as u64, cfg.t_faw as u64);
-                let longest = cfg
-                    .t_rcd
-                    .max(cfg.t_ras)
-                    .max(cfg.t_rc)
-                    .max(cfg.t_rrd)
-                    .max(cfg.t_faw);
-                self.note_armed(now.saturating_add(longest as u64));
+                self.arm(CmdClass::Activate, bank, 0);
                 self.stats.activates += 1;
             }
-            SdramCmd::Read {
-                bank,
-                col,
-                auto_precharge,
-                tag,
-            } => {
-                let row = match self.rows[bank as usize] {
-                    RowState::Open { row } => row,
-                    RowState::Closed => unreachable!("validated open"),
-                };
-                let local = self.local_addr(bank, row, col);
-                let (data, poisoned) = self.read_word(bank, local);
-                let ready = ReadReturn {
-                    tag,
-                    data,
-                    at_cycle: self.now + self.config.t_cas as u64,
-                    poisoned,
-                };
-                // Keep the queue ordered by completion time. With one
-                // command per cycle and a constant CAS latency the new
-                // return lands at the back; the scan only runs in the
-                // (config-dependent) general case.
-                if self
-                    .in_flight
-                    .back()
-                    .is_none_or(|r| r.at_cycle <= ready.at_cycle)
-                {
-                    self.in_flight.push_back(ready);
-                } else {
-                    let pos = self
-                        .in_flight
-                        .iter()
-                        .position(|r| r.at_cycle > ready.at_cycle)
-                        .unwrap_or(self.in_flight.len());
-                    self.in_flight.insert(pos, ready);
-                }
-                self.stats.reads += 1;
-                self.note_cas(bank);
-                let class = if auto_precharge {
-                    CmdClass::ReadAuto
-                } else {
-                    CmdClass::Read
-                };
-                self.apply_bank_event(bank, class, row);
-                if auto_precharge {
-                    self.auto_precharge(bank);
-                }
-            }
-            SdramCmd::Write {
-                bank,
-                col,
-                data,
-                auto_precharge,
-            } => {
-                let row = match self.rows[bank as usize] {
-                    RowState::Open { row } => row,
-                    RowState::Closed => unreachable!("validated open"),
-                };
-                let local = self.local_addr(bank, row, col);
-                if self.config.fault.hard_failed_bank == Some(bank) {
-                    // A dead subarray absorbs the write electrically but
-                    // stores nothing.
-                    self.stats.dropped_writes += 1;
-                } else {
-                    self.store_word(local, data);
-                }
-                self.stats.writes += 1;
-                self.note_cas(bank);
-                let class = if auto_precharge {
-                    CmdClass::WriteAuto
-                } else {
-                    CmdClass::Write
-                };
-                self.apply_bank_event(bank, class, row);
-                let now = self.now;
-                self.timers[bank as usize]
-                    .wr
-                    .arm(now, self.config.t_wr as u64);
-                self.note_armed(now.saturating_add(self.config.t_wr as u64));
-                if auto_precharge {
-                    self.auto_precharge(bank);
-                }
-            }
             SdramCmd::Precharge { bank } => {
-                let b = bank as usize;
                 self.apply_bank_event(bank, CmdClass::Precharge, 0);
-                let now = self.now;
-                self.timers[b].rp.arm(now, self.config.t_rp as u64);
-                self.note_armed(now.saturating_add(self.config.t_rp as u64));
+                self.arm(CmdClass::Precharge, bank, 0);
                 self.stats.precharges += 1;
+            }
+            SdramCmd::Read { .. } | SdramCmd::Write { .. } => {
+                unreachable!("column commands take the burst path")
             }
         }
         self.issued_this_cycle = true;
@@ -703,10 +683,10 @@ impl Sdram {
     ///
     /// Legality is exactly that of a single READ at `items[0]` (the
     /// burst occupies one command-bus slot and arms the channel's tCCD
-    /// gates once); each word is read through the same fault and ECC
-    /// layers as an individual READ and lands `j / data_rate` beats
-    /// after the first word's CAS latency. Counts as one `reads`
-    /// command in [`SdramStats`].
+    /// gates once); each word is read through the fault and ECC layers
+    /// and lands `j / data_rate` beats after the first word's CAS
+    /// latency. [`Sdram::issue`] sends a single READ here as a one-word
+    /// burst. Counts as one `reads` command in [`SdramStats`].
     ///
     /// # Errors
     ///
@@ -738,31 +718,41 @@ impl Sdram {
             RowState::Open { row } => row,
             RowState::Closed => unreachable!("validated open"),
         };
-        let beat_rate = self.config.data_rate.max(1) as u64;
-        for (j, &(col, tag)) in items.iter().enumerate() {
-            debug_assert_eq!(col, items[0].0 + j as u64, "burst columns are consecutive");
-            let local = self.local_addr(bank, row, col);
-            let (data, poisoned) = self.read_word(bank, local);
-            let ready = ReadReturn {
-                tag,
-                data,
-                // pva-lint: allow(nonconst-div): data_rate is a small config constant; words share beats on DDR parts
-                at_cycle: self.now + self.config.t_cas as u64 + j as u64 / beat_rate,
-                poisoned,
-            };
-            if self
-                .in_flight
-                .back()
-                .is_none_or(|r| r.at_cycle <= ready.at_cycle)
-            {
-                self.in_flight.push_back(ready);
-            } else {
-                let pos = self
+        debug_assert!(
+            items.windows(2).all(|w| w[1].0 == w[0].0 + 1),
+            "burst columns are consecutive"
+        );
+        let first = self.now + self.config.t_cas as u64;
+        // `data_rate` words share each data beat.
+        let beat_words = self.config.data_rate.max(1) as usize;
+        for (beat, words) in items.chunks(beat_words).enumerate() {
+            for &(col, tag) in words {
+                let local = self.local_addr(bank, row, col);
+                let (data, poisoned) = self.read_word(bank, local);
+                let ready = ReadReturn {
+                    tag,
+                    data,
+                    at_cycle: first + beat as u64,
+                    poisoned,
+                };
+                // Keep the queue ordered by completion time. With one
+                // command per cycle and a constant CAS latency the new
+                // return lands at the back; the scan only runs in the
+                // (config-dependent) general case.
+                if self
                     .in_flight
-                    .iter()
-                    .position(|r| r.at_cycle > ready.at_cycle)
-                    .unwrap_or(self.in_flight.len());
-                self.in_flight.insert(pos, ready);
+                    .back()
+                    .is_none_or(|r| r.at_cycle <= ready.at_cycle)
+                {
+                    self.in_flight.push_back(ready);
+                } else {
+                    let pos = self
+                        .in_flight
+                        .iter()
+                        .position(|r| r.at_cycle > ready.at_cycle)
+                        .unwrap_or(self.in_flight.len());
+                    self.in_flight.insert(pos, ready);
+                }
             }
         }
         self.stats.reads += 1;
@@ -773,6 +763,7 @@ impl Sdram {
             CmdClass::Read
         };
         self.apply_bank_event(bank, class, row);
+        self.arm(class, bank, 0);
         if auto_precharge {
             self.auto_precharge(bank);
         }
@@ -782,8 +773,9 @@ impl Sdram {
 
     /// Issues one WRITE CAS that bursts `items` (column, data) pairs
     /// into consecutive columns of `bank`'s open row — the write half
-    /// of [`issue_read_burst`](Sdram::issue_read_burst). Counts as one
-    /// `writes` command; tWR is armed from the burst's last data beat.
+    /// of [`issue_read_burst`](Sdram::issue_read_burst), and the path of
+    /// a single WRITE. Counts as one `writes` command; tWR is armed from
+    /// the burst's last data beat.
     ///
     /// # Errors
     ///
@@ -815,13 +807,23 @@ impl Sdram {
             RowState::Open { row } => row,
             RowState::Closed => unreachable!("validated open"),
         };
-        for (j, &(col, data)) in items.iter().enumerate() {
-            debug_assert_eq!(col, items[0].0 + j as u64, "burst columns are consecutive");
-            let local = self.local_addr(bank, row, col);
-            if self.config.fault.hard_failed_bank == Some(bank) {
-                self.stats.dropped_writes += 1;
-            } else {
-                self.store_word(local, data);
+        debug_assert!(
+            items.windows(2).all(|w| w[1].0 == w[0].0 + 1),
+            "burst columns are consecutive"
+        );
+        let beat_words = self.config.data_rate.max(1) as usize;
+        let mut last_beat = 0;
+        for (beat, words) in items.chunks(beat_words).enumerate() {
+            last_beat = beat as u64;
+            for &(col, data) in words {
+                let local = self.local_addr(bank, row, col);
+                if self.config.fault.hard_failed_bank == Some(bank) {
+                    // A dead subarray absorbs the write electrically but
+                    // stores nothing.
+                    self.stats.dropped_writes += 1;
+                } else {
+                    self.store_word(local, data);
+                }
             }
         }
         self.stats.writes += 1;
@@ -832,14 +834,8 @@ impl Sdram {
             CmdClass::Write
         };
         self.apply_bank_event(bank, class, row);
-        let now = self.now;
         // tWR runs from the last data beat of the burst, not the CAS.
-        let beat_rate = self.config.data_rate.max(1) as u64;
-        // pva-lint: allow(nonconst-div): data_rate is a small config constant; words share beats on DDR parts
-        let last_beat = (items.len() as u64 - 1) / beat_rate;
-        let wait = last_beat + self.config.t_wr as u64;
-        self.timers[bank as usize].wr.arm(now, wait);
-        self.note_armed(now.saturating_add(wait));
+        self.arm(class, bank, last_beat);
         if auto_precharge {
             self.auto_precharge(bank);
         }
@@ -874,9 +870,7 @@ impl Sdram {
     }
 
     /// Records an accepted CAS on `bank`: counts a row hit unless it is
-    /// the first CAS since the row's ACTIVATE, then arms the channel's
-    /// tCCD gates — `bank`'s group for `tCCD_L`, every other group for
-    /// `tCCD_S` (no-op on generations with both parameters 0).
+    /// the first CAS since the row's ACTIVATE.
     fn note_cas(&mut self, bank: u32) {
         let fresh = &mut self.row_fresh[bank as usize];
         if *fresh {
@@ -884,15 +878,6 @@ impl Sdram {
         } else {
             self.stats.row_hits += 1;
         }
-        let cfg = self.config;
-        if cfg.t_ccd_l == 0 && cfg.t_ccd_s == 0 {
-            return;
-        }
-        let group = cfg.bank_group_of(bank) as usize;
-        let now = self.now;
-        self.channel
-            .note_cas(now, group, cfg.t_ccd_l as u64, cfg.t_ccd_s as u64);
-        self.note_armed(now.saturating_add(cfg.t_ccd_l as u64));
     }
 
     /// Whether a command was accepted at the current clock edge.
@@ -909,9 +894,7 @@ impl Sdram {
     /// (bank's tRP and tRC plus the channel's tRRD and tFAW all
     /// expired; may be in the past).
     pub fn activate_ready_at(&self, bank: u32) -> u64 {
-        self.timers[bank as usize]
-            .activate_ready_at()
-            .max(self.channel.activate_ready_at())
+        self.ready_at(CmdClass::Activate, bank)
     }
 
     /// First cycle a READ/WRITE on internal bank `bank` is timing-legal
@@ -919,16 +902,13 @@ impl Sdram {
     /// past). The row must also be open — a state change, not a timer,
     /// so not reported here.
     pub fn access_ready_at(&self, bank: u32) -> u64 {
-        let group = self.config.bank_group_of(bank) as usize;
-        self.timers[bank as usize]
-            .access_ready_at()
-            .max(self.channel.cas_ready_at(group))
+        self.ready_at(CmdClass::Read, bank)
     }
 
     /// First cycle a PRECHARGE on internal bank `bank` is timing-legal
     /// (tRAS and tWR both expired; may be in the past).
     pub fn precharge_ready_at(&self, bank: u32) -> u64 {
-        self.timers[bank as usize].precharge_ready_at()
+        self.ready_at(CmdClass::Precharge, bank)
     }
 
     /// Residual cycles of the named restimer on internal bank `bank`
@@ -936,14 +916,7 @@ impl Sdram {
     /// checker in `pva-analysis`, which cross-validates its abstract
     /// timer state against the live device after every step.
     pub fn timer_remaining(&self, bank: u32, timer: TimerId) -> u64 {
-        let t = &self.timers[bank as usize];
-        match timer {
-            TimerId::Rcd => t.rcd.remaining(self.now),
-            TimerId::Ras => t.ras.remaining(self.now),
-            TimerId::Rp => t.rp.remaining(self.now),
-            TimerId::Rc => t.rc.remaining(self.now),
-            TimerId::Wr => t.wr.remaining(self.now),
-        }
+        self.timers[bank as usize][timer].remaining(self.now)
     }
 
     /// Remaining cycles of an in-progress AUTO REFRESH (0 when none),
@@ -956,13 +929,15 @@ impl Sdram {
     /// expired) — channel introspection for the protocol checker.
     pub fn channel_cas_remaining(&self, group: u32) -> u64 {
         self.channel
-            .cas_ready_at(group as usize)
+            .ready_at(ChannelTimerId::Ccd, group as usize)
             .saturating_sub(self.now)
     }
 
     /// Residual cycles of the channel's tRRD gate (0 when expired).
     pub fn channel_rrd_remaining(&self) -> u64 {
-        self.channel.rrd_ready_at().saturating_sub(self.now)
+        self.channel
+            .ready_at(ChannelTimerId::Rrd, 0)
+            .saturating_sub(self.now)
     }
 
     /// Residual cycles of the four tFAW window slots, sorted ascending
@@ -1223,11 +1198,11 @@ impl Sdram {
         (((row_field << ib_bits) | ib) << self.config.log2_cols) | col
     }
 
-    fn bank(&self, bank: u32) -> Result<(RowState, &BankTimers), IssueError> {
-        if bank >= self.config.total_row_buffers() {
-            return Err(IssueError::BankOutOfRange { bank });
-        }
-        Ok((self.rows[bank as usize], &self.timers[bank as usize]))
+    fn row_state(&self, bank: u32) -> Result<RowState, IssueError> {
+        self.rows
+            .get(bank as usize)
+            .copied()
+            .ok_or(IssueError::BankOutOfRange { bank })
     }
 
     /// Arms the precharge timer for an auto-precharging access (the
@@ -1240,12 +1215,12 @@ impl Sdram {
         // tRP; until then the bank cannot re-activate. Model this as
         // arming tRP for the residual tRAS/tWR plus tRP.
         let now = self.now;
-        let residual = self.timers[b]
-            .ras
-            .remaining(now)
-            .max(self.timers[b].wr.remaining(now));
-        let wait = residual.saturating_add(self.config.t_rp as u64);
-        self.timers[b].rp.arm(now, wait);
+        let timers = &mut self.timers[b];
+        let wait = self.deadlines.auto_precharge_arm(
+            timers[TimerId::Ras].remaining(now),
+            timers[TimerId::Wr].remaining(now),
+        );
+        timers[TimerId::Rp].arm(now, wait);
         self.note_armed(now.saturating_add(wait));
         self.stats.auto_precharges += 1;
     }
@@ -1310,7 +1285,7 @@ mod tests {
             err,
             IssueError::TimingViolation {
                 bank: 1,
-                timer: "tRCD"
+                timer: TimerId::Rcd
             }
         );
         d.tick();
@@ -1322,6 +1297,26 @@ mod tests {
                 tag: 0
             })
             .is_ok());
+    }
+
+    #[test]
+    fn timing_errors_print_the_parameter_name() {
+        let bank = IssueError::TimingViolation {
+            bank: 1,
+            timer: TimerId::Rcd,
+        };
+        assert_eq!(
+            bank.to_string(),
+            "timing parameter tRCD not satisfied on internal bank 1"
+        );
+        let channel = IssueError::ChannelViolation {
+            bank: 4,
+            timer: ChannelTimerId::Faw,
+        };
+        assert_eq!(
+            channel.to_string(),
+            "timing parameter tFAW not satisfied on internal bank 4"
+        );
     }
 
     #[test]
@@ -1365,7 +1360,7 @@ mod tests {
             err,
             IssueError::TimingViolation {
                 bank: 2,
-                timer: "tRAS"
+                timer: TimerId::Ras
             }
         );
     }

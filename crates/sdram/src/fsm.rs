@@ -24,7 +24,7 @@
 //! PLA and the restimer counters in the §5.2.5 hardware. The same
 //! split covers the channel-level constraints of modern device
 //! generations (tCCD/tRRD/tFAW, see [`crate::ChannelTimers`] and the
-//! [`crate::DeviceTiming`] tables): they are pure timing and never add
+//! [`crate::protocol`] tables): they are pure timing and never add
 //! bank states, so this table is identical for every
 //! [`crate::DevicePreset`].
 

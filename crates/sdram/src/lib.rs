@@ -11,7 +11,10 @@
 //! * [`SdramCmd`] — the clock-edge command set.
 //! * [`SdramConfig`] / [`DevicePreset`] — timing/geometry parameters
 //!   and the shipped device generations (SDR through DDR3-1600 and
-//!   HBM-class profiles), all behind the [`DeviceTiming`] trait.
+//!   HBM-class profiles).
+//! * [`protocol`] — the timing protocol as data: which timers gate and
+//!   arm each command class, and for how long ([`DeadlineModel`]). The
+//!   device executes these tables.
 //! * [`Restimer`] / [`BankTimers`] / [`ChannelTimers`] — the §5.2.5
 //!   timing counters, per bank and per channel.
 //! * [`TimingAuditor`] — an independent checker used to cross-validate
@@ -53,5 +56,5 @@ pub use config::{ConfigError, DevicePreset, InternalAddr, SdramConfig, MAX_BANK_
 pub use device::{background_pattern, IssueError, ReadReturn, Sdram, SdramCmd, SdramStats};
 pub use fault::{FaultConfig, PPM};
 pub use fsm::{BankEvent, BankState, CmdClass, Outcome, TRANSITIONS};
-pub use protocol::{ChannelTimerId, DeadlineModel, DeviceTiming, TimerId};
+pub use protocol::{ChannelTimerId, DeadlineModel, TimerId};
 pub use restimer::{BankTimers, ChannelTimers, Restimer};

@@ -1,20 +1,24 @@
-//! Declarative timing-protocol metadata (§5.2.5, machine-checkable).
+//! The SDRAM timing protocol as data (§5.2.5).
 //!
-//! The device in [`crate::device`] enforces SDRAM timing operationally:
-//! each accepted command arms [restimers](crate::Restimer) and
-//! [`Sdram::can_issue`](crate::Sdram::can_issue) consults them. This
-//! module states the *same* protocol declaratively — which timers gate
-//! each command class ([`gates`]) and how long each accepted command
-//! arms them ([`DeadlineModel`]) — so an external checker can explore
-//! the product automaton of bank state × timer residuals and prove the
-//! two descriptions agree (see `pva-analysis`'s protocol pass).
+//! This module is the one statement of which restimers gate each
+//! command class ([`gates`], [`channel_gates`]), which ones an accepted
+//! command arms ([`DeadlineModel::arms`], [`channel_arms`]) and for how
+//! long ([`DeadlineModel`]). The device executes these tables:
+//! [`Sdram::can_issue`](crate::Sdram::can_issue) walks the gates in
+//! table order and reports the first unexpired one, and
+//! [`Sdram::issue`](crate::Sdram::issue) arms the listed timers with the
+//! model's durations. Two rules the tables cannot express stay explicit
+//! in the device: the auto-precharge composite
+//! ([`DeadlineModel::auto_precharge_arm`]) and a write burst's tWR,
+//! which runs from its last data beat.
 //!
-//! Keeping the declarative form next to the operational one is the
-//! point: a future timing parameter added to the device but not here
-//! (or vice versa) turns into a checker finding, not a silent
-//! divergence.
+//! `pva-analysis`'s protocol pass explores bank state × timer residuals
+//! against a live device to prove it executes the tables, and feeds
+//! every accepted command to the independent
+//! [`TimingAuditor`](crate::TimingAuditor), which checks the tables
+//! themselves against the configuration's timing parameters.
 
-use crate::config::{DevicePreset, SdramConfig};
+use crate::config::SdramConfig;
 use crate::fsm::CmdClass;
 
 /// One of the five per-internal-bank restimers of [`crate::BankTimers`].
@@ -33,7 +37,8 @@ pub enum TimerId {
 }
 
 impl TimerId {
-    /// Every timer, in the declaration order of [`crate::BankTimers`].
+    /// Every timer, in declaration order — the index order of
+    /// [`crate::BankTimers`].
     pub const ALL: [TimerId; 5] = [
         TimerId::Rcd,
         TimerId::Ras,
@@ -42,10 +47,8 @@ impl TimerId {
         TimerId::Wr,
     ];
 
-    /// The timing-parameter name, matching
-    /// [`Restimer::name`](crate::Restimer::name) and the
-    /// [`IssueError::TimingViolation`](crate::IssueError::TimingViolation)
-    /// payload.
+    /// The timing-parameter name, as printed for an
+    /// [`IssueError::TimingViolation`](crate::IssueError::TimingViolation).
     pub const fn name(self) -> &'static str {
         match self {
             TimerId::Rcd => "tRCD",
@@ -94,9 +97,8 @@ impl ChannelTimerId {
         ChannelTimerId::Faw,
     ];
 
-    /// The timing-parameter name, matching the
-    /// [`IssueError::TimingViolation`](crate::IssueError::TimingViolation)
-    /// payload.
+    /// The timing-parameter name, as printed for an
+    /// [`IssueError::ChannelViolation`](crate::IssueError::ChannelViolation).
     pub const fn name(self) -> &'static str {
         match self {
             ChannelTimerId::Ccd => "tCCD",
@@ -133,9 +135,10 @@ pub const fn channel_arms(class: CmdClass) -> &'static [ChannelTimerId] {
 }
 
 /// The deadline semantics of one configuration: how many cycles each
-/// accepted command arms each restimer for. Extracted from
-/// [`SdramConfig`] so a checker can be handed a deliberately corrupted
-/// copy and prove it notices the disagreement with the live device.
+/// accepted command arms each restimer for. The device builds one from
+/// its [`SdramConfig`] at construction; a checker can be handed a
+/// deliberately corrupted copy and prove it notices the disagreement
+/// with the live device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeadlineModel {
     /// ACTIVATE → READ/WRITE delay.
@@ -192,8 +195,8 @@ impl DeadlineModel {
     }
 
     /// The timers an accepted command of `class` arms on its internal
-    /// bank, each for its nominal [`DeadlineModel::duration`],
-    /// mirroring the device's arm sites. Auto-precharging accesses
+    /// bank, each for its nominal [`DeadlineModel::duration`] (a write
+    /// burst adds its last data beat to tWR). Auto-precharging accesses
     /// additionally arm `tRP` through the composite rule of
     /// [`DeadlineModel::auto_precharge_arm`]; REFRESH arms no restimer
     /// (it occupies the device for [`DeadlineModel::refresh_busy`]
@@ -245,133 +248,28 @@ impl DeadlineModel {
     }
 }
 
-/// The composable device-timing interface: everything a scheduler, a
-/// wake-hint computation, or a model checker needs to know about one
-/// DRAM generation, expressed as data rather than code.
-///
-/// The per-command *gate* and *arm* tables plus the [`DeadlineModel`]
-/// durations are the single source of truth: `device.rs` consults the
-/// same tables operationally (through its restimers), and the
-/// `pva-analysis` protocol pass explores the product automaton per
-/// [`DevicePreset`] to prove the two never disagree. A timing parameter
-/// added to the device but not the tables (or vice versa) becomes a
-/// checker finding, not a silent divergence.
-///
-/// [`SdramConfig`] implements the trait directly, so every shipped
-/// [`DevicePreset`] — from the paper's SDR part to the DDR3-1600 and
-/// HBM-class profiles — is a `DeviceTiming` with no adapter layer.
-pub trait DeviceTiming {
-    /// The deadline semantics (arming durations) of this device.
-    fn deadlines(&self) -> DeadlineModel;
-
-    /// The per-bank timers that must be expired before a command of
-    /// `class` may issue on its internal bank.
-    fn bank_gates(&self, class: CmdClass) -> &'static [TimerId] {
-        gates(class)
-    }
-
-    /// The per-bank timers an accepted command of `class` arms.
-    fn bank_arms(&self, class: CmdClass) -> &'static [TimerId] {
-        DeadlineModel::arms(class)
-    }
-
-    /// The channel-level timers that must admit a command of `class`.
-    fn channel_gates(&self, class: CmdClass) -> &'static [ChannelTimerId] {
-        channel_gates(class)
-    }
-
-    /// The channel-level timers an accepted command of `class` arms.
-    fn channel_arms(&self, class: CmdClass) -> &'static [ChannelTimerId] {
-        channel_arms(class)
-    }
-
-    /// Words transferred per column command (burst length).
-    fn burst_words(&self) -> u32;
-
-    /// Data transfers per memory-clock cycle (1 = SDR, 2 = DDR).
-    fn data_rate(&self) -> u32;
-
-    /// Memory-clock cycles one burst occupies the data bus.
-    fn burst_cycles(&self) -> u32 {
-        self.burst_words().div_ceil(self.data_rate().max(1))
-    }
-
-    /// Number of bank groups the internal banks are divided into.
-    fn bank_groups(&self) -> u32;
-
-    /// The bank group an effective row-buffer index belongs to.
-    fn bank_group_of(&self, bank: u32) -> u32 {
-        bank & (self.bank_groups() - 1)
-    }
-
-    /// Average interval between required refresh commands (0 = refresh
-    /// disabled).
-    fn refresh_interval(&self) -> u64;
-
-    /// Cycles an accepted AUTO REFRESH occupies the device.
-    fn refresh_busy(&self) -> u64 {
-        self.deadlines().refresh_busy()
-    }
-}
-
-impl DeviceTiming for SdramConfig {
-    fn deadlines(&self) -> DeadlineModel {
-        DeadlineModel::of(self)
-    }
-
-    fn burst_words(&self) -> u32 {
-        self.burst_words
-    }
-
-    fn data_rate(&self) -> u32 {
-        self.data_rate
-    }
-
-    fn bank_groups(&self) -> u32 {
-        self.bank_groups
-    }
-
-    fn refresh_interval(&self) -> u64 {
-        self.refresh_interval
-    }
-}
-
-impl DeviceTiming for DevicePreset {
-    fn deadlines(&self) -> DeadlineModel {
-        DeadlineModel::of(&self.config())
-    }
-
-    fn burst_words(&self) -> u32 {
-        self.config().burst_words
-    }
-
-    fn data_rate(&self) -> u32 {
-        self.config().data_rate
-    }
-
-    fn bank_groups(&self) -> u32 {
-        self.config().bank_groups
-    }
-
-    fn refresh_interval(&self) -> u64 {
-        self.config().refresh_interval
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DevicePreset;
 
     #[test]
     fn gates_match_the_device_checks() {
-        // The operational `can_issue` checks these exact timers; the
-        // protocol checker in pva-analysis proves the full agreement,
-        // this test just pins the declarative table's shape.
+        // `can_issue` walks these lists in order and reports the first
+        // unexpired timer, so the order is part of the contract.
         assert_eq!(gates(CmdClass::Activate), &[TimerId::Rp, TimerId::Rc]);
         assert_eq!(gates(CmdClass::Read), &[TimerId::Rcd]);
         assert_eq!(gates(CmdClass::WriteAuto), &[TimerId::Rcd]);
         assert_eq!(gates(CmdClass::Precharge), &[TimerId::Ras, TimerId::Wr]);
         assert_eq!(gates(CmdClass::Refresh), &[TimerId::Rp]);
+    }
+
+    #[test]
+    fn timer_ids_index_in_declaration_order() {
+        // `BankTimers` indexes its restimers by `timer as usize`.
+        for (i, timer) in TimerId::ALL.into_iter().enumerate() {
+            assert_eq!(timer as usize, i, "{}", timer.name());
+        }
     }
 
     #[test]
@@ -413,26 +311,6 @@ mod tests {
         ] {
             assert_eq!(channel_arms(class), channel_gates(class));
         }
-    }
-
-    #[test]
-    fn device_timing_trait_mirrors_the_config() {
-        let ddr3 = SdramConfig::for_device(DevicePreset::Ddr3_1600);
-        let timing: &dyn DeviceTiming = &ddr3;
-        assert_eq!(timing.deadlines(), DeadlineModel::of(&ddr3));
-        assert_eq!(timing.burst_cycles(), ddr3.burst_cycles());
-        assert_eq!(timing.bank_groups(), 2);
-        assert_eq!(timing.bank_group_of(3), ddr3.bank_group_of(3));
-        assert_eq!(timing.refresh_interval(), ddr3.refresh_interval);
-        assert_eq!(timing.bank_gates(CmdClass::Read), gates(CmdClass::Read));
-        assert_eq!(
-            timing.bank_arms(CmdClass::Activate),
-            DeadlineModel::arms(CmdClass::Activate)
-        );
-        // The preset itself is also a DeviceTiming.
-        let preset: &dyn DeviceTiming = &DevicePreset::Ddr3_1600;
-        assert_eq!(preset.deadlines(), DeadlineModel::of(&ddr3));
-        assert_eq!(preset.burst_cycles(), 4);
     }
 
     #[test]

@@ -13,12 +13,15 @@
 //! becomes available, which the event-driven scheduler uses to wake a
 //! controller at precisely the blocking timer's expiry.
 //!
+//! Which timers gate and arm each command is not written here: the
+//! device reads it from the tables in [`crate::protocol`].
+//!
 //! # Examples
 //!
 //! ```
 //! use sdram::Restimer;
 //!
-//! let mut t = Restimer::new("tRCD");
+//! let mut t = Restimer::new(); // e.g. the tRCD counter
 //! assert!(t.available(0));
 //! t.arm(0, 2);                 // ACTIVATE at cycle 0: READ legal at 2
 //! assert!(!t.available(0));
@@ -27,23 +30,21 @@
 //! assert_eq!(t.expires_at(), 2);
 //! ```
 
+use core::ops::{Index, IndexMut};
+
+use crate::protocol::{ChannelTimerId, DeadlineModel, TimerId};
+
 /// A single timing-parameter deadline.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Restimer {
-    name: &'static str,
     /// First cycle the resource is available again.
     until: u64,
 }
 
 impl Restimer {
-    /// Creates an expired (available) restimer for the named parameter.
-    pub const fn new(name: &'static str) -> Self {
-        Restimer { name, until: 0 }
-    }
-
-    /// The timing parameter this counter enforces (for diagnostics).
-    pub const fn name(&self) -> &'static str {
-        self.name
+    /// Creates an expired (available) restimer.
+    pub const fn new() -> Self {
+        Restimer { until: 0 }
     }
 
     /// Arms the counter at cycle `now`: the resource becomes available
@@ -73,88 +74,47 @@ impl Restimer {
     }
 }
 
-impl core::fmt::Display for Restimer {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "{}(until {})", self.name, self.until)
-    }
-}
-
-/// The full set of per-internal-bank restimers an SDRAM scheduler must
-/// consult before issuing each operation class.
-#[derive(Debug, Clone)]
-pub struct BankTimers {
-    /// Gates READ/WRITE after ACTIVATE (`tRCD`).
-    pub rcd: Restimer,
-    /// Gates PRECHARGE after ACTIVATE (`tRAS`).
-    pub ras: Restimer,
-    /// Gates ACTIVATE after PRECHARGE (`tRP`).
-    pub rp: Restimer,
-    /// Gates ACTIVATE after ACTIVATE (`tRC`).
-    pub rc: Restimer,
-    /// Gates PRECHARGE after WRITE (`tWR`).
-    pub wr: Restimer,
-}
+/// The five per-internal-bank restimers, one per [`TimerId`] and
+/// indexed by it.
+///
+/// # Examples
+///
+/// ```
+/// use sdram::{BankTimers, TimerId};
+///
+/// let mut bt = BankTimers::new();
+/// bt[TimerId::Rcd].arm(0, 2);
+/// assert_eq!(bt.ready_at(&[TimerId::Rcd, TimerId::Ras]), 2);
+/// ```
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BankTimers([Restimer; TimerId::ALL.len()]);
 
 impl BankTimers {
     /// Creates a fully-available timer set.
     pub const fn new() -> Self {
-        BankTimers {
-            rcd: Restimer::new("tRCD"),
-            ras: Restimer::new("tRAS"),
-            rp: Restimer::new("tRP"),
-            rc: Restimer::new("tRC"),
-            wr: Restimer::new("tWR"),
-        }
+        BankTimers([Restimer::new(); TimerId::ALL.len()])
     }
 
-    /// The latest expiry across the five timers — the first cycle at
-    /// which every timer is guaranteed available.
-    pub fn all_expired_at(&self) -> u64 {
-        self.rcd
-            .expires_at()
-            .max(self.ras.expires_at())
-            .max(self.rp.expires_at())
-            .max(self.rc.expires_at())
-            .max(self.wr.expires_at())
-    }
-
-    /// Whether an ACTIVATE may be issued at cycle `now`.
-    pub const fn can_activate(&self, now: u64) -> bool {
-        self.rp.available(now) && self.rc.available(now)
-    }
-
-    /// First cycle an ACTIVATE is timing-legal (both tRP and tRC
-    /// expired).
-    pub fn activate_ready_at(&self) -> u64 {
-        self.rp.expires_at().max(self.rc.expires_at())
-    }
-
-    /// Whether a READ/WRITE may be issued at cycle `now` (row must also
-    /// be open — checked by the device state machine, not the timers).
-    pub const fn can_access(&self, now: u64) -> bool {
-        self.rcd.available(now)
-    }
-
-    /// First cycle a READ/WRITE is timing-legal (tRCD expired).
-    pub const fn access_ready_at(&self) -> u64 {
-        self.rcd.expires_at()
-    }
-
-    /// Whether a PRECHARGE may be issued at cycle `now`.
-    pub const fn can_precharge(&self, now: u64) -> bool {
-        self.ras.available(now) && self.wr.available(now)
-    }
-
-    /// First cycle a PRECHARGE is timing-legal (both tRAS and tWR
-    /// expired).
-    pub fn precharge_ready_at(&self) -> u64 {
-        self.ras.expires_at().max(self.wr.expires_at())
+    /// The first cycle every timer in `gates` is expired (the latest of
+    /// their expiries; 0 for an empty list).
+    pub fn ready_at(&self, gates: &[TimerId]) -> u64 {
+        gates
+            .iter()
+            .fold(0, |at, &timer| at.max(self[timer].expires_at()))
     }
 }
 
-impl Default for BankTimers {
-    fn default() -> Self {
-        BankTimers::new()
+impl Index<TimerId> for BankTimers {
+    type Output = Restimer;
+
+    fn index(&self, timer: TimerId) -> &Restimer {
+        &self.0[timer as usize]
+    }
+}
+
+impl IndexMut<TimerId> for BankTimers {
+    fn index_mut(&mut self, timer: TimerId) -> &mut Restimer {
+        &mut self.0[timer as usize]
     }
 }
 
@@ -203,82 +163,58 @@ impl ChannelTimers {
             "too many bank groups"
         );
         ChannelTimers {
-            cas_group: [Restimer::new("tCCD"); crate::config::MAX_BANK_GROUPS as usize],
+            cas_group: [Restimer::new(); crate::config::MAX_BANK_GROUPS as usize],
             groups: groups as usize,
-            rrd: Restimer::new("tRRD"),
+            rrd: Restimer::new(),
             faw: [0; 4],
         }
     }
 
-    /// Whether a READ/WRITE to bank group `group` may issue at `now`.
-    pub const fn can_cas(&self, now: u64, group: usize) -> bool {
-        self.cas_group[group].available(now)
-    }
-
-    /// First cycle a READ/WRITE to bank group `group` is channel-legal.
-    pub const fn cas_ready_at(&self, group: usize) -> u64 {
-        self.cas_group[group].expires_at()
-    }
-
-    /// Records a CAS to bank group `group` at cycle `now`: the group
-    /// itself waits `t_ccd_l`, every other group `t_ccd_s`.
-    pub fn note_cas(&mut self, now: u64, group: usize, t_ccd_l: u64, t_ccd_s: u64) {
-        for (g, timer) in self.cas_group[..self.groups].iter_mut().enumerate() {
-            timer.arm(now, if g == group { t_ccd_l } else { t_ccd_s });
+    /// First cycle `timer` admits a command on bank group `group` (may
+    /// be in the past). Only the CAS gate depends on the group; the
+    /// tFAW window opens when its earliest slot expires.
+    pub fn ready_at(&self, timer: ChannelTimerId, group: usize) -> u64 {
+        match timer {
+            ChannelTimerId::Ccd => self.cas_group[group].expires_at(),
+            ChannelTimerId::Rrd => self.rrd.expires_at(),
+            ChannelTimerId::Faw => {
+                let mut earliest = self.faw[0];
+                for &slot in &self.faw[1..] {
+                    earliest = earliest.min(slot);
+                }
+                earliest
+            }
         }
     }
 
-    /// Whether the tRRD gate alone admits an ACTIVATE at `now`.
-    pub const fn rrd_available(&self, now: u64) -> bool {
-        self.rrd.available(now)
-    }
-
-    /// Whether the tFAW window alone admits an ACTIVATE at `now`
-    /// (at least one of the four slots has expired).
-    pub fn faw_available(&self, now: u64) -> bool {
-        self.faw_ready_at() <= now
-    }
-
-    /// Whether an ACTIVATE may issue at `now` (both tRRD and tFAW).
-    pub fn can_activate(&self, now: u64) -> bool {
-        self.rrd_available(now) && self.faw_available(now)
-    }
-
-    /// First cycle the tFAW window admits another ACTIVATE: the
-    /// earliest slot's expiry.
-    pub fn faw_ready_at(&self) -> u64 {
-        let mut earliest = self.faw[0];
-        for &slot in &self.faw[1..] {
-            earliest = earliest.min(slot);
-        }
-        earliest
-    }
-
-    /// First cycle an ACTIVATE is channel-legal (tRRD and tFAW both
-    /// expired).
-    pub fn activate_ready_at(&self) -> u64 {
-        self.rrd.expires_at().max(self.faw_ready_at())
-    }
-
-    /// Records an ACTIVATE at cycle `now`: arms tRRD and consumes the
-    /// earliest tFAW slot for a full window. Zero parameters leave the
-    /// respective gate permanently open.
-    pub fn note_activate(&mut self, now: u64, t_rrd: u64, t_faw: u64) {
-        self.rrd.arm(now, t_rrd);
-        if t_faw > 0 {
-            let mut idx = 0;
-            for (i, &slot) in self.faw.iter().enumerate() {
-                if slot < self.faw[idx] {
-                    idx = i;
+    /// Arms `timer` for a command accepted at cycle `now` on bank group
+    /// `group`, with the durations of `model`. The CAS gate arms
+    /// `group` for `tCCD_L` and every other group for `tCCD_S`; tFAW
+    /// re-arms its earliest slot for a full window. Zero parameters
+    /// leave the respective gate permanently open.
+    pub fn arm(&mut self, timer: ChannelTimerId, now: u64, group: usize, model: &DeadlineModel) {
+        match timer {
+            ChannelTimerId::Ccd => {
+                if model.t_ccd_l == 0 && model.t_ccd_s == 0 {
+                    return;
+                }
+                for (g, gate) in self.cas_group[..self.groups].iter_mut().enumerate() {
+                    gate.arm(now, model.channel_duration(timer, g == group));
                 }
             }
-            self.faw[idx] = now.saturating_add(t_faw);
+            ChannelTimerId::Rrd => self.rrd.arm(now, model.t_rrd),
+            ChannelTimerId::Faw => {
+                if model.t_faw > 0 {
+                    let mut idx = 0;
+                    for (i, &slot) in self.faw.iter().enumerate() {
+                        if slot < self.faw[idx] {
+                            idx = i;
+                        }
+                    }
+                    self.faw[idx] = now.saturating_add(model.t_faw);
+                }
+            }
         }
-    }
-
-    /// First cycle the tRRD gate opens (may be in the past).
-    pub const fn rrd_ready_at(&self) -> u64 {
-        self.rrd.expires_at()
     }
 
     /// The raw tFAW window expiry slots (unordered) — introspection for
@@ -286,28 +222,16 @@ impl ChannelTimers {
     pub const fn faw_slots(&self) -> [u64; 4] {
         self.faw
     }
-
-    /// The latest expiry across every channel timer — the first cycle
-    /// at which the whole channel is guaranteed unconstrained.
-    pub fn all_expired_at(&self) -> u64 {
-        let mut latest = self.rrd.expires_at();
-        for timer in &self.cas_group[..self.groups] {
-            latest = latest.max(timer.expires_at());
-        }
-        for &slot in &self.faw {
-            latest = latest.max(slot);
-        }
-        latest
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{DevicePreset, SdramConfig};
 
     #[test]
     fn arm_and_expire() {
-        let mut t = Restimer::new("x");
+        let mut t = Restimer::new();
         t.arm(10, 3);
         assert!(!t.available(10));
         assert!(!t.available(12));
@@ -319,7 +243,7 @@ mod tests {
 
     #[test]
     fn rearm_takes_max() {
-        let mut t = Restimer::new("x");
+        let mut t = Restimer::new();
         t.arm(0, 5);
         t.arm(1, 2); // earlier deadline must not shorten the wait
         assert_eq!(t.expires_at(), 5);
@@ -329,7 +253,7 @@ mod tests {
 
     #[test]
     fn arm_saturates_instead_of_wrapping() {
-        let mut t = Restimer::new("x");
+        let mut t = Restimer::new();
         t.arm(u64::MAX - 1, 17);
         assert_eq!(t.expires_at(), u64::MAX);
         assert!(!t.available(u64::MAX - 1));
@@ -340,94 +264,119 @@ mod tests {
     #[test]
     fn bank_timers_gate_operations() {
         let mut bt = BankTimers::new();
-        assert!(bt.can_activate(0) && bt.can_access(0) && bt.can_precharge(0));
+        let activate = [TimerId::Rp, TimerId::Rc];
+        let access = [TimerId::Rcd];
+        let precharge = [TimerId::Ras, TimerId::Wr];
+        for gates in [&activate[..], &access, &precharge] {
+            assert_eq!(bt.ready_at(gates), 0);
+        }
         // Model an ACTIVATE at cycle 0 with tRCD=2, tRAS=5, tRC=7.
-        bt.rcd.arm(0, 2);
-        bt.ras.arm(0, 5);
-        bt.rc.arm(0, 7);
-        assert!(!bt.can_access(0) && !bt.can_precharge(0) && !bt.can_activate(0));
-        assert!(bt.can_access(2));
-        assert!(!bt.can_precharge(2));
-        assert!(bt.can_precharge(5));
-        assert!(!bt.can_activate(5));
-        assert!(bt.can_activate(7));
+        bt[TimerId::Rcd].arm(0, 2);
+        bt[TimerId::Ras].arm(0, 5);
+        bt[TimerId::Rc].arm(0, 7);
+        assert_eq!(bt.ready_at(&access), 2);
+        assert_eq!(bt.ready_at(&precharge), 5);
+        assert_eq!(bt.ready_at(&activate), 7);
+        // A write's tWR holds the precharge gate beyond tRAS.
+        bt[TimerId::Wr].arm(0, 9);
+        assert_eq!(bt.ready_at(&precharge), 9);
+        assert_eq!(bt.ready_at(&TimerId::ALL), 9);
+        // Each timer is addressed by its own slot.
+        for timer in TimerId::ALL {
+            let expected = match timer {
+                TimerId::Rcd => 2,
+                TimerId::Ras => 5,
+                TimerId::Rp => 0,
+                TimerId::Rc => 7,
+                TimerId::Wr => 9,
+            };
+            assert_eq!(bt[timer].expires_at(), expected, "{}", timer.name());
+        }
     }
 
-    #[test]
-    fn ready_at_matches_the_gates() {
-        let mut bt = BankTimers::new();
-        bt.rcd.arm(0, 2);
-        bt.ras.arm(0, 5);
-        bt.rc.arm(0, 7);
-        bt.wr.arm(0, 9);
-        assert_eq!(bt.access_ready_at(), 2);
-        assert_eq!(bt.activate_ready_at(), 7);
-        assert_eq!(bt.precharge_ready_at(), 9);
-        assert_eq!(bt.all_expired_at(), 9);
-        // Each ready_at is the first cycle its gate opens.
-        assert!(!bt.can_access(1) && bt.can_access(2));
-        assert!(!bt.can_activate(6) && bt.can_activate(7));
-        assert!(!bt.can_precharge(8) && bt.can_precharge(9));
-    }
-
-    #[test]
-    fn display_shows_name_and_deadline() {
-        let mut t = Restimer::new("tRP");
-        t.arm(0, 2);
-        assert_eq!(t.to_string(), "tRP(until 2)");
+    fn ddr3_model() -> DeadlineModel {
+        DeadlineModel::of(&SdramConfig::for_device(DevicePreset::Ddr3_1600))
     }
 
     #[test]
     fn channel_ccd_distinguishes_same_and_cross_group() {
+        let m = DeadlineModel {
+            t_ccd_l: 5,
+            t_ccd_s: 4,
+            ..ddr3_model()
+        };
         let mut ch = ChannelTimers::new(2);
-        ch.note_cas(0, 0, 5, 4); // tCCD_L=5, tCCD_S=4
-        assert!(!ch.can_cas(4, 0) && ch.can_cas(5, 0)); // same group: tCCD_L
-        assert!(!ch.can_cas(3, 1) && ch.can_cas(4, 1)); // other group: tCCD_S
-        assert_eq!(ch.cas_ready_at(0), 5);
-        assert_eq!(ch.cas_ready_at(1), 4);
+        ch.arm(ChannelTimerId::Ccd, 0, 0, &m);
+        assert_eq!(ch.ready_at(ChannelTimerId::Ccd, 0), 5); // same group: tCCD_L
+        assert_eq!(ch.ready_at(ChannelTimerId::Ccd, 1), 4); // other group: tCCD_S
     }
 
     #[test]
     fn channel_rrd_spaces_activates() {
+        let m = DeadlineModel {
+            t_rrd: 6,
+            t_faw: 0,
+            ..ddr3_model()
+        };
         let mut ch = ChannelTimers::new(2);
-        assert!(ch.can_activate(0));
-        ch.note_activate(0, 6, 0);
-        assert!(!ch.can_activate(5) && ch.can_activate(6));
-        assert_eq!(ch.activate_ready_at(), 6);
+        assert_eq!(ch.ready_at(ChannelTimerId::Rrd, 0), 0);
+        ch.arm(ChannelTimerId::Rrd, 0, 0, &m);
+        ch.arm(ChannelTimerId::Faw, 0, 0, &m);
+        assert_eq!(ch.ready_at(ChannelTimerId::Rrd, 0), 6);
+        assert_eq!(ch.ready_at(ChannelTimerId::Faw, 0), 0);
     }
 
     #[test]
     fn channel_faw_admits_four_then_throttles() {
+        let m = DeadlineModel {
+            t_faw: 26,
+            ..ddr3_model()
+        };
         let mut ch = ChannelTimers::new(2);
         // Four back-to-back ACTIVATEs pass (slots start expired)...
         for i in 0..4u64 {
-            assert!(ch.faw_available(i), "activate {i} must pass");
-            ch.note_activate(i, 0, 26);
+            assert!(
+                ch.ready_at(ChannelTimerId::Faw, 0) <= i,
+                "activate {i} must pass"
+            );
+            ch.arm(ChannelTimerId::Faw, i, 0, &m);
         }
         // ...the fifth must wait for the first slot's window to expire.
-        assert!(!ch.faw_available(4));
-        assert!(!ch.faw_available(25));
-        assert!(ch.faw_available(26)); // 0 + tFAW
-        assert_eq!(ch.faw_ready_at(), 26);
-        ch.note_activate(26, 0, 26);
+        assert_eq!(ch.ready_at(ChannelTimerId::Faw, 0), 26); // 0 + tFAW
+        ch.arm(ChannelTimerId::Faw, 26, 0, &m);
         // The next earliest slot is the ACTIVATE from cycle 1.
-        assert_eq!(ch.faw_ready_at(), 27);
+        assert_eq!(ch.ready_at(ChannelTimerId::Faw, 0), 27);
     }
 
     #[test]
     fn zero_parameters_leave_channel_open() {
-        let mut ch = ChannelTimers::new(2);
-        ch.note_cas(0, 0, 0, 0);
-        ch.note_activate(0, 0, 0);
-        assert!(ch.can_cas(0, 0) && ch.can_activate(0));
-        assert_eq!(ch.all_expired_at(), 0);
+        let m = DeadlineModel::of(&SdramConfig::default());
+        let mut ch = ChannelTimers::new(1);
+        for timer in ChannelTimerId::ALL {
+            ch.arm(timer, 5, 0, &m);
+        }
+        for timer in ChannelTimerId::ALL {
+            assert!(
+                ch.ready_at(timer, 0) <= 5,
+                "{} must stay open",
+                timer.name()
+            );
+        }
+        assert_eq!(ch.faw_slots(), [0; 4]);
     }
 
     #[test]
-    fn all_expired_at_covers_every_gate() {
+    fn every_channel_gate_arms_its_own_deadline() {
+        let m = ddr3_model();
         let mut ch = ChannelTimers::new(2);
-        ch.note_cas(0, 1, 5, 4);
-        ch.note_activate(0, 6, 26);
-        assert_eq!(ch.all_expired_at(), 26);
+        ch.arm(ChannelTimerId::Ccd, 0, 1, &m);
+        ch.arm(ChannelTimerId::Rrd, 0, 1, &m);
+        ch.arm(ChannelTimerId::Faw, 0, 1, &m);
+        assert_eq!(ch.ready_at(ChannelTimerId::Ccd, 1), m.t_ccd_l);
+        assert_eq!(ch.ready_at(ChannelTimerId::Ccd, 0), m.t_ccd_s);
+        assert_eq!(ch.ready_at(ChannelTimerId::Rrd, 0), m.t_rrd);
+        // One slot is armed; the window is still open for three more.
+        assert_eq!(ch.ready_at(ChannelTimerId::Faw, 0), 0);
+        assert_eq!(ch.faw_slots().iter().max(), Some(&m.t_faw));
     }
 }

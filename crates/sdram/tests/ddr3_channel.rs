@@ -2,7 +2,9 @@
 //! per bank group, tRRD spacing, and the tFAW four-activate window —
 //! the modern-generation timing the SDR part leaves disabled.
 
-use sdram::{DevicePreset, IssueError, Sdram, SdramCmd, SdramConfig, TimingAuditor};
+use sdram::{
+    ChannelTimerId, DevicePreset, IssueError, Sdram, SdramCmd, SdramConfig, TimingAuditor,
+};
 
 fn ddr3() -> Sdram {
     Sdram::new(SdramConfig::for_device(DevicePreset::Ddr3_1600))
@@ -48,9 +50,9 @@ fn tccd_l_gates_same_group_cas() {
     for _ in 0..3 {
         assert_eq!(
             d.can_issue(&read(2)),
-            Err(IssueError::TimingViolation {
+            Err(IssueError::ChannelViolation {
                 bank: 2,
-                timer: "tCCD"
+                timer: ChannelTimerId::Ccd
             })
         );
         d.tick();
@@ -99,9 +101,9 @@ fn trrd_spaces_activates_across_banks() {
     // (tRRD = 6) gated.
     assert_eq!(
         d.can_issue(&SdramCmd::Activate { bank: 1, row: 1 }),
-        Err(IssueError::TimingViolation {
+        Err(IssueError::ChannelViolation {
             bank: 1,
-            timer: "tRRD"
+            timer: ChannelTimerId::Rrd
         })
     );
     assert_eq!(d.activate_ready_at(1), 6);
@@ -125,9 +127,9 @@ fn tfaw_throttles_the_fifth_activate() {
     tick_to(&mut d, 24);
     assert_eq!(
         d.can_issue(&SdramCmd::Activate { bank: 4, row: 1 }),
-        Err(IssueError::TimingViolation {
+        Err(IssueError::ChannelViolation {
             bank: 4,
-            timer: "tFAW"
+            timer: ChannelTimerId::Faw
         })
     );
     assert_eq!(d.activate_ready_at(4), 26);
