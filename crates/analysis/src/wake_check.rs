@@ -48,14 +48,24 @@ pub struct WakeRule {
 /// The declared trigger → wake-source coverage map.
 pub const WAKE_RULES: &[WakeRule] = &[
     WakeRule {
-        trigger: "pop_ready",
-        source: "next_data_at",
-        why: "returned read data must wake the controller when it reaches the pins",
-    },
-    WakeRule {
         trigger: "injectable_at",
         source: "injectable_at",
-        why: "a FIFO head becomes consumable exactly at its injectable_at cycle",
+        why: "a FIFO head becomes consumable no earlier than its injectable_at cycle",
+    },
+    WakeRule {
+        trigger: "addr_ready_at",
+        source: "addr_ready_at",
+        why: "a non-power-of-two FIFO head becomes consumable no earlier than its FHC deadline",
+    },
+    WakeRule {
+        trigger: "turnaround_until",
+        source: "turnaround_until",
+        why: "no command issues during a bus turnaround; every scheduler wake defers to its end",
+    },
+    WakeRule {
+        trigger: "needs_turnaround",
+        source: "needs_turnaround",
+        why: "a row hit that reverses the bus can start its turnaround without waiting on a timer",
     },
     WakeRule {
         trigger: "not_before",
@@ -93,11 +103,6 @@ pub const WAKE_RULES: &[WakeRule] = &[
         source: "access_ready_at",
         why: "the group preference only orders CAS candidates; each candidate's tCCD gate is \
               folded into its access_ready_at",
-    },
-    WakeRule {
-        trigger: "coalesce_run",
-        source: "next_data_at",
-        why: "a coalesced burst's later beats reach the pins on the data-return schedule",
     },
 ];
 

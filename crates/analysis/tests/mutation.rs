@@ -73,10 +73,10 @@ fn corrupted_timing_deadline_is_caught() {
 
 #[test]
 fn dropped_wake_arm_is_caught() {
-    // Seeded defect: compute_wake forgets the read-return wake source.
-    // Renaming `next_data_at` out of existence models deleting that arm;
-    // the trigger (`pop_ready` in the tick path) survives, so the static
-    // pass must report the uncovered trigger.
+    // Seeded defect: compute_wake forgets the FHC deadline of the FIFO
+    // head. `addr_ready_at` also decides injection in the tick path, so
+    // only its occurrence inside compute_wake is renamed; the trigger
+    // survives, so the static pass must report the uncovered trigger.
     let root = pva_analysis::find_workspace_root().expect("workspace root");
     let pristine = std::fs::read_to_string(root.join(wake_check::CONTROLLER_SRC))
         .expect("controller source readable");
@@ -85,15 +85,28 @@ fn dropped_wake_arm_is_caught() {
         Vec::<String>::new(),
         "the pristine controller must pass before mutating it"
     );
-    let mutated = pristine.replace("next_data_at", "next_data_at_gone");
-    assert_ne!(mutated, pristine, "the wake source must exist to delete");
+    let mutated = in_compute_wake(&pristine, "addr_ready_at");
     let findings = wake_check::check_source(&mutated);
     assert!(
         findings
             .iter()
-            .any(|f| f.contains("pop_ready") && f.contains("next_data_at")),
-        "a dropped read-return wake arm must be reported, got: {findings:?}"
+            .any(|f| f.contains("`addr_ready_at` has no wake source")),
+        "a dropped FHC-deadline wake arm must be reported, got: {findings:?}"
     );
+}
+
+/// `source` with every occurrence of `ident` inside `fn compute_wake`
+/// renamed out of existence (panics if there is none to rename).
+fn in_compute_wake(source: &str, ident: &str) -> String {
+    let at = source.find("fn compute_wake").expect("compute_wake exists");
+    let (head, tail) = source.split_at(at);
+    let end = tail.find("\n    }\n").expect("compute_wake ends");
+    let (body, rest) = tail.split_at(end);
+    assert!(body.contains(ident), "the wake source must exist to delete");
+    format!(
+        "{head}{}{rest}",
+        body.replace(ident, &format!("{ident}_gone"))
+    )
 }
 
 #[test]
@@ -113,20 +126,7 @@ fn dropped_access_wake_arm_is_caught() {
         Vec::<String>::new(),
         "the pristine controller must pass before mutating it"
     );
-    let at = pristine
-        .find("fn compute_wake")
-        .expect("compute_wake exists");
-    let (head, tail) = pristine.split_at(at);
-    let end = tail.find("\n    }\n").expect("compute_wake ends");
-    let (body, rest) = tail.split_at(end);
-    assert!(
-        body.contains("access_ready_at"),
-        "the wake source must exist to delete"
-    );
-    let mutated = format!(
-        "{head}{}{rest}",
-        body.replace("access_ready_at", "access_ready_at_gone")
-    );
+    let mutated = in_compute_wake(&pristine, "access_ready_at");
     let findings = wake_check::check_source(&mutated);
     for trigger in ["open_row", "should_defer_activate", "last_cas_group"] {
         assert!(

@@ -1,14 +1,15 @@
 //! # pva-bench — data generation for every table and figure
 //!
-//! Each table/figure of the paper's evaluation has one data-generation
-//! function here, run as a scenario of the `pva-bench` CLI, which prints
-//! the series and records each cell's simulation wall time. See
-//! `EXPERIMENTS.md` for the paper-vs-measured record.
+//! Each table/figure of the paper's evaluation is a scenario of the
+//! `pva-bench` CLI ([`scenarios`]), which prints the series and records
+//! each cell's simulation wall time; this root module keeps the
+//! scheduler-ablation probes. See `EXPERIMENTS.md` for the
+//! paper-vs-measured record.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use kernels::{run_cell, run_point, Alignment, CellResult, Kernel, SystemKind, STRIDES};
+use kernels::{Alignment, Kernel};
 use pva_sim::{PvaConfig, RowPolicy};
 
 pub mod engine;
@@ -18,101 +19,6 @@ pub mod json;
 pub mod report;
 pub mod resilient;
 pub mod scenarios;
-
-/// One row of the figure-7/8 stride sweeps: a kernel at a stride, with
-/// min/max cycles per system over the five alignments.
-#[derive(Debug, Clone)]
-pub struct StrideSweepRow {
-    /// Kernel name.
-    pub kernel: &'static str,
-    /// Element stride.
-    pub stride: u64,
-    /// Cells in [`SystemKind::ALL`] order.
-    pub cells: Vec<(SystemKind, CellResult)>,
-}
-
-/// Figure 7 (copy, saxpy, scale) or figure 8 (swap, tridiag, vaxpy):
-/// each kernel swept over the six strides on all four systems.
-pub fn stride_sweep(kernels: &[Kernel]) -> Vec<StrideSweepRow> {
-    let mut rows = Vec::new();
-    for &k in kernels {
-        for &s in &STRIDES {
-            rows.push(StrideSweepRow {
-                kernel: k.name(),
-                stride: s,
-                cells: SystemKind::ALL
-                    .iter()
-                    .map(|&sys| (sys, run_cell(k, s, sys)))
-                    .collect(),
-            });
-        }
-    }
-    rows
-}
-
-/// One row of the figure-9/10 fixed-stride comparisons: a kernel with
-/// per-system cycles *normalized to the PVA-SDRAM minimum* (the
-/// percentage annotations of the paper's bars).
-#[derive(Debug, Clone)]
-pub struct FixedStrideRow {
-    /// Kernel name.
-    pub kernel: &'static str,
-    /// Per-system (cycles-min, cycles-max, normalized-%-of-pva-min).
-    pub cells: Vec<(SystemKind, CellResult, f64)>,
-}
-
-/// Figure 9 (strides 1 and 4) / figure 10 (8, 16, 19): all eight access
-/// patterns at one stride.
-pub fn fixed_stride(stride: u64) -> Vec<FixedStrideRow> {
-    Kernel::ALL
-        .iter()
-        .map(|&k| {
-            let pva_min = run_cell(k, stride, SystemKind::PvaSdram).min;
-            FixedStrideRow {
-                kernel: k.name(),
-                cells: SystemKind::ALL
-                    .iter()
-                    .map(|&sys| {
-                        let cell = run_cell(k, stride, sys);
-                        let pct = 100.0 * cell.min as f64 / pva_min as f64;
-                        (sys, cell, pct)
-                    })
-                    .collect(),
-            }
-        })
-        .collect()
-}
-
-/// One point of the figure-11 vaxpy detail: stride x alignment on the
-/// PVA-SDRAM and PVA-SRAM systems.
-#[derive(Debug, Clone)]
-pub struct VaxpyDetailPoint {
-    /// Element stride.
-    pub stride: u64,
-    /// Alignment preset.
-    pub alignment: &'static str,
-    /// PVA over SDRAM cycles.
-    pub sdram: u64,
-    /// PVA over idealized SRAM cycles.
-    pub sram: u64,
-}
-
-/// Figure 11: vaxpy across strides and relative alignments, SDRAM vs
-/// SRAM back ends.
-pub fn vaxpy_detail() -> Vec<VaxpyDetailPoint> {
-    let mut out = Vec::new();
-    for &stride in &STRIDES {
-        for a in Alignment::ALL {
-            out.push(VaxpyDetailPoint {
-                stride,
-                alignment: a.name(),
-                sdram: run_point(Kernel::Vaxpy, stride, a, SystemKind::PvaSdram),
-                sram: run_point(Kernel::Vaxpy, stride, a, SystemKind::PvaSram),
-            });
-        }
-    }
-    out
-}
 
 /// One configuration of the scheduler-ablation study and its cycles on
 /// probes chosen to be *scheduler-bound* rather than staging-bus-bound
@@ -232,25 +138,6 @@ pub fn ablations() -> Vec<AblationRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stride_sweep_has_expected_shape() {
-        let rows = stride_sweep(&[Kernel::Scale]);
-        assert_eq!(rows.len(), STRIDES.len());
-        for r in &rows {
-            assert_eq!(r.cells.len(), 4);
-        }
-    }
-
-    #[test]
-    fn fixed_stride_normalizes_to_pva_min() {
-        let rows = fixed_stride(1);
-        for r in &rows {
-            let (sys, _, pct) = r.cells[0];
-            assert_eq!(sys, SystemKind::PvaSdram);
-            assert!((pct - 100.0).abs() < 1e-9, "{}: {pct}", r.kernel);
-        }
-    }
 
     /// The value after the `:` of the golden line starting with
     /// `label`, without a trailing `x`.

@@ -1850,7 +1850,7 @@ const PROBE_DEVICES: [DevicePreset; 2] = [DevicePreset::Sdr100, DevicePreset::Dd
 /// per-run cost. The cell's `aux` carries
 /// `[model_cycles, ref_wall_ns, fast_wall_ns,
 ///   executed_cycles, skipped_cycles, jumps, events_popped,
-///   jump_hist[0..JUMP_BUCKETS]]`
+///   jump_hist[0..JUMP_BUCKETS], idle_ticks]`
 /// where the event-loop counters are one sweep's worth from the fast
 /// model (runs are deterministic, so every rep agrees);
 /// `cycles`/`bytes` count both models' simulated work.
@@ -1912,6 +1912,7 @@ fn throughput_probe(preset: DevicePreset) -> CellData {
         events.events_popped,
     ];
     aux.extend(events.jump_hist);
+    aux.push(events.idle_ticks);
     CellData::with_aux(cycles, bytes, aux)
 }
 
@@ -1968,11 +1969,12 @@ pub fn techsweep_metrics(cells: &[CellData]) -> Vec<(String, f64)> {
 /// per probe device: simulated-cycles-per-second of each model, the
 /// fast-path speedup, the event-loop density (wake-ups popped per
 /// thousand simulated cycles — the cost the event queue pays for the
-/// cycles it skips), and the jump-size histogram (bucket `i` counts
+/// cycles it skips), the jump-size histogram (bucket `i` counts
 /// bulk time-advances of `2^i..2^(i+1)-1` cycles; the last bucket is
-/// open-ended). The first device's keys carry no suffix.
+/// open-ended), and the controller ticks that did no work per thousand
+/// simulated cycles. The first device's keys carry no suffix.
 pub fn throughput_metrics(cells: &[CellData]) -> Vec<(String, f64)> {
-    if cells.len() != PROBE_DEVICES.len() || cells.iter().any(|c| c.aux.len() < 7 + JUMP_BUCKETS) {
+    if cells.len() != PROBE_DEVICES.len() || cells.iter().any(|c| c.aux.len() < 8 + JUMP_BUCKETS) {
         return Vec::new(); // a probe cell was quarantined
     }
     let mut m = Vec::new();
@@ -1997,6 +1999,10 @@ pub fn throughput_metrics(cells: &[CellData]) -> Vec<(String, f64)> {
             };
             push(&label, count as f64);
         }
+        push(
+            "idle_ticks_per_kcycle",
+            c.aux[7 + JUMP_BUCKETS] as f64 * 1e3 / sweep_cycles,
+        );
     }
     m
 }
@@ -2068,11 +2074,13 @@ fn throughput() -> Scenario {
                 let sweep = (c.aux[0] / THROUGHPUT_REPS).max(1);
                 let _ = writeln!(
                     out,
-                    "{} event loop: {:.1}% of cycles executed, {} wake-ups ({:.0} per kcycle), {} jumps",
+                    "{} event loop: {:.1}% of cycles executed, {} wake-ups ({:.0} per kcycle, \
+                     {} without work), {} jumps",
                     device.name(),
                     100.0 * c.aux[3] as f64 / sweep as f64,
                     c.aux[6],
                     c.aux[6] as f64 * 1e3 / sweep as f64,
+                    c.aux[7 + JUMP_BUCKETS],
                     c.aux[5],
                 );
                 let hist: Vec<String> = c.aux[7..7 + JUMP_BUCKETS]

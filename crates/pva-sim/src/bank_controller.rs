@@ -10,7 +10,8 @@
 //!   service; as many entries as outstanding bus transactions.
 //! * **FirstHit Calculate (FHC)** — the 2-cycle multiply-add that
 //!   finishes address calculation for non-power-of-two strides, working
-//!   in parallel with the scheduler.
+//!   in parallel with the scheduler. Its latency is fixed, so each entry
+//!   carries the cycle its address is ready instead of a countdown.
 //! * **Access Scheduler (SCHED)** with **Vector Contexts (VCs)** and
 //!   **Scheduling Policy Units (SPUs)** — expands each request's address
 //!   series by shift-and-add, reorders row activates / precharges /
@@ -18,8 +19,9 @@
 //!   drives the SDRAM.
 //! * **Staging** — gathered read data is deposited into the shared
 //!   [`TransactionTable`] (the model of the wired-OR
-//!   transaction-complete lines); write data is pulled from the
-//!   broadcast line buffer.
+//!   transaction-complete lines) when its CAS issues, tagged with the
+//!   cycle it reaches the pins; write data is pulled from the broadcast
+//!   line buffer.
 //!
 //! Bypass paths (§5.2.3), the bus-polarity rule (§5.2.4), restimer-
 //! enforced SDRAM timing (§5.2.5) and the row-management heuristic are
@@ -94,12 +96,11 @@ struct RfEntry {
     first_index: u64,
     /// Element-index step between this bank's elements (Theorem 4.4).
     index_delta: u64,
-    /// First-hit word address; meaningful once `addr_ready`.
+    /// First-hit word address; meaningful from `addr_ready_at` on.
     first_addr: u64,
-    /// The ACC flag: address calculation complete.
-    addr_ready: bool,
-    /// FHC multiply-add cycles remaining when `!addr_ready`.
-    fhc_cycles_left: u32,
+    /// The ACC flag as a deadline: the cycle whose tick completes the
+    /// FHC multiply-add (the broadcast cycle for power-of-two strides).
+    addr_ready_at: u64,
     /// Earliest cycle the scheduler may consume this entry (models FHP /
     /// FIFO / bypass latencies).
     injectable_at: u64,
@@ -108,6 +109,14 @@ struct RfEntry {
     /// Block-interleave only: the merged element-index list of this
     /// bank's N logical first-hit units.
     indices: Option<Arc<Vec<u64>>>,
+}
+
+impl RfEntry {
+    /// First cycle the entry may enter a vector context: its address is
+    /// calculated and the FIFO latency has passed.
+    fn ready_at(&self) -> u64 {
+        self.addr_ready_at.max(self.injectable_at)
+    }
 }
 
 /// A vector context: one request being actively expanded against the
@@ -222,8 +231,12 @@ pub struct BankController {
     /// prefers CAS candidates from a *different* group, so the
     /// channel's short tCCD_S gate applies instead of tCCD_L.
     last_cas_group: Option<u32>,
-    /// Turnaround dead cycles remaining.
-    turnaround_left: u32,
+    /// First cycle after the current bus turnaround (§5.2.5): no command
+    /// issues before it. In the past when no turnaround is running.
+    turnaround_until: u64,
+    /// First cycle the FHC is free for the next multiply-add: one runs
+    /// at a time, oldest entry first.
+    fhc_free_at: u64,
     /// One-bit autoprecharge predictor per internal bank (§5.2.2).
     autoprecharge_predict: Vec<bool>,
     /// Last row that was open in each internal bank (survives closes).
@@ -234,16 +247,21 @@ pub struct BankController {
     stats: BcStats,
     /// Poisoned reads waiting out their backoff before re-issue.
     retries: Vec<PendingRetry>,
+    /// Poisoned reads whose data has not reached the pins yet, as
+    /// `(return cycle, retry)` in return order. Each joins `retries` at
+    /// the first tick at or after its return cycle, so `retries` keeps
+    /// the order it would have if the word were handled at the pins.
+    returning: VecDeque<(u64, PendingRetry)>,
     /// Retry attempts so far per (transaction, element).
     retry_attempts: FastMap<(u8, u64), u32>,
     /// Base and stride of the last vector command observed under each
     /// transaction id (indexed by id), so a poisoned element's address
     /// can be recomputed for its retry.
     vec_meta: Vec<(u64, u64)>,
-    /// When the last [`tick`](BankController::tick) did no work: the
-    /// earliest future cycle at which this controller could act (`None`
-    /// = no pending event, or the tick did work). Consumed by the
-    /// unit's next-event fast path immediately after the tick.
+    /// The earliest future cycle at which this controller could act,
+    /// as of the last [`tick`](BankController::tick) (`None` = nothing
+    /// pending until a broadcast). Consumed by the unit's next-event
+    /// fast path immediately after the tick.
     wake_hint: Option<u64>,
     /// The issue window of the last scheduling pass (see
     /// [`build_issue_window`](BankController::build_issue_window)).
@@ -253,9 +271,6 @@ pub struct BankController {
     /// Whether a context or the bus polarity changed since `window`
     /// was built.
     window_stale: bool,
-    /// FIFO entries still waiting on the FHC multiply-add; lets a tick
-    /// skip the FIFO scan once all are ready.
-    fhc_pending: usize,
     /// Trace events accumulated since the last drain (only populated
     /// when `config.record_trace`).
     events: Vec<TraceEvent>,
@@ -288,18 +303,19 @@ impl BankController {
             device,
             data_polarity: None,
             last_cas_group: None,
-            turnaround_left: 0,
+            turnaround_until: 0,
+            fhc_free_at: 0,
             autoprecharge_predict: vec![false; ib],
             last_row: vec![None; ib],
             row_history: vec![0; ib],
             stats: BcStats::default(),
             retries: Vec::new(),
+            returning: VecDeque::new(),
             retry_attempts: FastMap::default(),
             vec_meta: vec![(0, 0); config.transaction_ids],
             wake_hint: None,
             window: Vec::new(),
             window_stale: true,
-            fhc_pending: 0,
             events: Vec::new(),
         }
     }
@@ -344,24 +360,22 @@ impl BankController {
         &mut self.device
     }
 
-    /// Whether this controller has no queued or active work.
+    /// Whether this controller has no queued or active work. Read data
+    /// already handed to the transaction table may still be on its way
+    /// to the pins.
     pub fn idle(&self) -> bool {
         self.fifo.is_empty()
             && self.vcs.is_empty()
             && self.retries.is_empty()
-            && !self.device.has_in_flight()
+            && self.returning.is_empty()
     }
 
     /// Stronger than [`idle`](BankController::idle): nothing queued AND
     /// the device itself is fully at rest, so a tick can only replay
-    /// the same empty decision. The unit's event loop uses this to park
-    /// a controller with no wake hint until a broadcast re-arms it.
+    /// the same empty decision. (A bus turnaround only runs while the
+    /// context that started it waits, so an idle controller has none.)
     pub(crate) fn quiet(&self) -> bool {
-        self.fifo.is_empty()
-            && self.vcs.is_empty()
-            && self.retries.is_empty()
-            && self.turnaround_left == 0
-            && self.device.quiet()
+        self.idle() && self.device.quiet()
     }
 
     /// FHP: observes a vector command broadcast at cycle `now`. Returns
@@ -408,19 +422,18 @@ impl BankController {
         // immediately; others wait for the FHC multiply-add. The bypass
         // paths save the FIFO write-back/dequeue cycle when the
         // controller is idle.
-        let (addr_ready, fhc_left, injectable_at) = if pow2 {
-            (true, 0, if bypass { now + 1 } else { now + 2 })
+        // The FHC runs one multiply-add at a time, oldest entry first:
+        // an entry's `fhc_latency` cycles start once both it has arrived
+        // and the previous multiply-add is done, the last of them being
+        // the cycle its address is ready.
+        let fifo_latency = if bypass { 1 } else { 2 };
+        let (addr_ready_at, injectable_at) = if pow2 {
+            (now, now + fifo_latency)
         } else {
-            let fhc = self.config.fhc_latency;
-            (
-                false,
-                fhc,
-                if bypass {
-                    now + 1 + fhc as u64
-                } else {
-                    now + 2 + fhc as u64
-                },
-            )
+            let fhc = u64::from(self.config.fhc_latency);
+            let ready = now.max(self.fhc_free_at) + fhc - 1;
+            self.fhc_free_at = ready + 1;
+            (ready, now + fifo_latency + fhc)
         };
         let first_addr = v.base() + v.stride() * first;
         self.fifo.push_back(RfEntry {
@@ -428,8 +441,7 @@ impl BankController {
             first_index: first,
             index_delta,
             first_addr,
-            addr_ready,
-            fhc_cycles_left: fhc_left,
+            addr_ready_at,
             injectable_at,
             write_line,
             indices,
@@ -438,18 +450,30 @@ impl BankController {
             self.fifo.len() <= self.config.request_fifo_entries,
             "register file sized to outstanding transactions can never overflow"
         );
-        if !addr_ready {
-            self.fhc_pending += 1;
-        }
         self.stats.requests_queued += 1;
         count
     }
 
-    /// Advances the controller one cycle: FHC progress, VC injection,
-    /// SPU scheduling, SDRAM issue, data return. Returns whether the
-    /// controller changed any state beyond pure counter advancement —
-    /// `false` means the identical decision replays every cycle until
-    /// the event reported by [`wake_hint`](BankController::wake_hint).
+    /// Where a broadcast that just queued an entry must wake this
+    /// controller: the entry's ready cycle if it heads the FIFO and a
+    /// vector context is free. Otherwise the entry waits for an older
+    /// head or a context to retire, and the work tick that does either
+    /// publishes a hint that covers it.
+    pub(crate) fn broadcast_wake(&self) -> Option<u64> {
+        match self.fifo.front() {
+            Some(e) if self.fifo.len() == 1 && self.vcs.len() < self.config.vector_contexts => {
+                Some(e.ready_at())
+            }
+            _ => None,
+        }
+    }
+
+    /// Advances the controller one cycle: VC injection, SPU scheduling,
+    /// SDRAM issue (a READ hands its data to the transaction table).
+    /// Returns whether the controller changed any state beyond pure
+    /// counter advancement; either way every cycle before the one
+    /// reported by [`wake_hint`](BankController::wake_hint) replays a
+    /// no-op.
     pub fn tick(&mut self, now: u64, txns: &mut TransactionTable) -> bool {
         // Fully idle controllers dominate single-bank strides (15 of 16
         // every cycle on stride 16). With nothing queued and the device
@@ -457,7 +481,7 @@ impl BankController {
         // and the wake hint need maintaining (a unit test pins the two
         // forms equal).
         if self.quiet() {
-            self.wake_hint = self.compute_wake(now);
+            self.wake_hint = self.compute_wake(now, false);
             self.device.tick();
             return false;
         }
@@ -469,38 +493,20 @@ impl BankController {
     fn tick_full(&mut self, now: u64, txns: &mut TransactionTable) -> bool {
         let mut did_work = false;
 
-        // 1. Return data that reached the pins this cycle. Poisoned
-        //    words (ECC-uncorrectable or hard-failed bank) are retried
-        //    with exponential backoff up to the configured bound, then
-        //    deposited flagged so the transaction still completes.
-        while let Some(ready) = self.device.pop_ready() {
-            self.handle_ready(ready, now, txns);
+        // 1. Poisoned reads whose data has reached the pins join the
+        //    retry list.
+        while let Some(&(at, retry)) = self.returning.front() {
+            if at > now {
+                break;
+            }
+            self.returning.pop_front();
+            self.retries.push(retry);
             did_work = true;
         }
 
-        // 2. FHC: one multiply-add in flight at a time, oldest first
-        //    (the workptr scan of §5.2.2), overlapped with scheduling.
-        //    The pending count proves the scan empty without walking
-        //    the FIFO.
-        debug_assert_eq!(
-            self.fhc_pending,
-            self.fifo.iter().filter(|e| !e.addr_ready).count(),
-            "FHC pending count diverged from the FIFO"
-        );
-        if self.fhc_pending > 0 {
-            if let Some(entry) = self.fifo.iter_mut().find(|e| !e.addr_ready) {
-                entry.fhc_cycles_left = entry.fhc_cycles_left.saturating_sub(1);
-                if entry.fhc_cycles_left == 0 {
-                    entry.addr_ready = true;
-                    self.fhc_pending -= 1;
-                }
-                did_work = true;
-            }
-        }
-
-        // 3a. Re-inject one due retry as a single-element vector context
-        //     (retries take priority over fresh requests: they hold up a
-        //     transaction that is otherwise nearly complete).
+        // 2. Re-inject one due retry as a single-element vector context
+        //    (retries take priority over fresh requests: they hold up a
+        //    transaction that is otherwise nearly complete).
         if self.vcs.len() < self.config.vector_contexts {
             if let Some(pos) = self.retries.iter().position(|r| r.not_before <= now) {
                 let r = self.retries.swap_remove(pos);
@@ -526,12 +532,10 @@ impl BankController {
             }
         }
 
-        // 3b. Inject the FIFO head into a free vector context (in order).
+        // 3. Inject the FIFO head into a free vector context (in order)
+        //    once its FHC deadline and FIFO latency have passed.
         if self.vcs.len() < self.config.vector_contexts {
-            let consumable = self
-                .fifo
-                .front()
-                .is_some_and(|e| e.addr_ready && e.injectable_at <= now);
+            let consumable = self.fifo.front().is_some_and(|e| e.ready_at() <= now);
             if consumable {
                 let e = self.fifo.pop_front().expect("head exists");
                 let v = e.cmd.vector;
@@ -566,24 +570,23 @@ impl BankController {
             self.stats.busy_cycles += 1;
         }
 
-        // 4. SPU scheduling: pick at most one SDRAM command. A due
-        //    periodic refresh preempts normal work (§2.2: the contents
-        //    must be refreshed typically every 64 ms).
+        // 4. SPU scheduling: pick at most one SDRAM command, unless a
+        //    bus turnaround holds the slot. A due periodic refresh
+        //    preempts normal work (§2.2: the contents must be refreshed
+        //    typically every 64 ms).
         #[cfg(debug_assertions)]
         let deferred_before = self.stats.deferred_activates;
-        if self.turnaround_left > 0 {
-            self.turnaround_left -= 1;
-            did_work = true;
-        } else if !self.service_refresh() {
+        let turnarounds = self.stats.turnarounds;
+        if now >= self.turnaround_until && !self.service_refresh() {
             self.schedule(txns);
         }
         // A command acceptance (from schedule *or* service_refresh) is
         // work; service_refresh "owning the slot" without issuing is
         // not — that state replays until the blocking timer expires.
         // Scheduling can also mutate state without issuing by starting
-        // a bus turnaround, which counts as work so the skip logic never
-        // elides a cycle whose replay would not be a pure no-op.
-        did_work |= self.device.command_issued_this_cycle() || self.turnaround_left > 0;
+        // a bus turnaround, which counts as work.
+        did_work |=
+            self.device.command_issued_this_cycle() || self.stats.turnarounds != turnarounds;
         // An activate deferral needs a timing-legal CAS in the issue
         // window, and phase B then issues it or starts a turnaround: a
         // deferring tick is never a no-op, so the deferral needs no
@@ -597,21 +600,22 @@ impl BankController {
         // The hint must see the device *before* its tick: a restimer at
         // 1 decrements to 0 now, and the next cycle is the first to see
         // it available.
-        self.wake_hint = if did_work {
-            None
-        } else {
-            self.compute_wake(now)
-        };
+        self.wake_hint = self.compute_wake(now, did_work);
 
         // 5. Clock the device.
         self.device.tick();
         did_work
     }
 
-    /// Routes one returned data word: deposit, or retry if poisoned.
-    fn handle_ready(&mut self, ready: sdram::ReadReturn, now: u64, txns: &mut TransactionTable) {
-        let (txn, element) = untag(ready.tag);
-        if ready.poisoned {
+    /// Routes one word of a READ burst at its CAS issue: deposit it,
+    /// tagged with its return cycle, or schedule a retry if poisoned.
+    /// Poisoned words (ECC-uncorrectable or hard-failed bank) are
+    /// retried with exponential backoff from their return cycle up to
+    /// the configured bound, then deposited flagged so the transaction
+    /// still completes.
+    fn route_read(&mut self, word: sdram::ReadReturn, txns: &mut TransactionTable) {
+        let (txn, element) = untag(word.tag);
+        if word.poisoned {
             let key = (txn.0, element);
             let attempts = self.retry_attempts.get(&key).copied().unwrap_or(0);
             if attempts < self.config.max_read_retries {
@@ -619,97 +623,123 @@ impl BankController {
                 let backoff =
                     (self.config.retry_backoff_cycles as u64) << attempts.min(MAX_BACKOFF_SHIFT);
                 self.retry_attempts.insert(key, attempts + 1);
-                self.retries.push(PendingRetry {
+                let retry = PendingRetry {
                     txn,
                     element,
                     addr: base + stride * element,
-                    not_before: now + backoff,
-                });
+                    not_before: word.at_cycle + backoff,
+                };
+                self.returning.push_back((word.at_cycle, retry));
                 self.stats.read_retries += 1;
             } else {
                 self.retry_attempts.remove(&key);
                 self.stats.retries_exhausted += 1;
-                txns.deposit_faulted(txn, element, ready.data);
+                txns.deposit_faulted(txn, element, word.data, word.at_cycle);
             }
         } else {
             // Clearing a retry record only matters if one exists: skip
-            // the hash on the (overwhelmingly common) clean-data return
-            // when no retries are outstanding at all.
+            // the hash on the (overwhelmingly common) clean read when no
+            // retries are outstanding at all.
             if !self.retry_attempts.is_empty() {
                 self.retry_attempts.remove(&(txn.0, element));
             }
-            txns.deposit(txn, element, ready.data);
+            txns.deposit(txn, element, word.data, word.at_cycle);
         }
     }
 
-    /// The wake hint produced by the last tick: `Some(cycle)` when the
-    /// tick did no work and `cycle` is the earliest tick that could —
-    /// every tick in between is guaranteed to replay the same no-op
-    /// decision. Valid only immediately after the producing tick.
+    /// The wake hint produced by the last tick: `cycle` is the earliest
+    /// tick that could act, and every tick in between is guaranteed to
+    /// replay a no-op. Valid only immediately after the producing tick.
     pub const fn wake_hint(&self) -> Option<u64> {
         self.wake_hint
     }
 
-    /// Earliest future cycle at which this controller could act, given
-    /// that the tick in progress did no work. Must be called *before*
-    /// the device tick (the device clock still reads the current
-    /// cycle). `None` when no event is pending at all.
-    fn compute_wake(&self, now: u64) -> Option<u64> {
-        let mut wake: Option<u64> = None;
-        let mut consider = |at: u64| {
-            wake = Some(match wake {
-                Some(w) if w <= at => w,
-                _ => at,
-            });
-        };
-        // Injection candidates only matter while a context slot is
-        // free; when all slots are busy, the unblocking event is a
-        // device-side one (covered below).
-        if self.vcs.len() < self.config.vector_contexts {
-            if let Some(e) = self.fifo.front() {
-                consider(e.injectable_at);
-            }
-            for r in &self.retries {
-                consider(r.not_before);
-            }
-        }
-        if let Some(at) = self.device.next_data_at() {
-            consider(at);
-        }
+    /// Earliest future cycle at which this controller could act. Must
+    /// be called *before* the device tick (the device clock still reads
+    /// the current cycle). `after_work` says whether the tick in
+    /// progress did work, which may have cleared a non-timer block
+    /// (see below). `None` when no event is pending at all.
+    fn compute_wake(&self, now: u64, after_work: bool) -> Option<u64> {
+        // Nothing can be earlier than the next cycle, so the search
+        // stops at the first candidate there (the common case after a
+        // work tick in a busy stretch).
+        let next = now + 1;
+        let mut wake = u64::MAX;
+        // No command issues during a bus turnaround: every scheduler
+        // wake below is deferred to its end.
+        let turning = now < self.turnaround_until;
+        let schedule_from = self.turnaround_until.max(next);
         // Precise scheduler wakes: for each context, the expiry of
         // exactly the timers gating its next action (activate when its
         // bank is closed, access when its row is open, precharge when
-        // another row occupies the bank). The device folds the channel
-        // gates (tCCD of the bank group, tRRD, tFAW) into the activate
-        // and access cycles, so these arms also cover the
-        // generation-aware policy's channel-global inputs: the group
-        // preference around `last_cas_group` only orders CAS candidates,
-        // each woken by its own access arm, and an activate deferral
-        // always comes with a CAS issued in the same tick. Early wakes
-        // are harmless (the tick replays as a no-op); a wake in the past
-        // means the action is timing-legal already and only a non-timer
-        // condition blocks it — every such condition is resolved by
-        // another context's work tick or by the refresh poll below, so
-        // it contributes no candidate. Waking on *any* armed timer would
-        // also be correct but triggers a no-op tick per unrelated
-        // expiry.
+        // another row occupies the bank). A row hit whose CAS must first
+        // turn the bus around waits on no timer: its next action is the
+        // turnaround. The device folds the channel gates (tCCD of the
+        // bank group, tRRD, tFAW) into the activate and access cycles,
+        // so these arms also cover the generation-aware policy's
+        // channel-global inputs: the group preference around
+        // `last_cas_group` only orders CAS candidates, each woken by its
+        // own access arm, and an activate deferral always comes with a
+        // CAS issued in the same tick. An action that is timing-legal
+        // already is blocked by the turnaround or by a non-timer
+        // condition (the command slot, the polarity window, a row
+        // another context still uses). Only a work tick clears a
+        // non-timer block, so after a tick without work such an action
+        // contributes no candidate, and after a work tick it wakes the
+        // next cycle. Early wakes are harmless (the tick replays as a
+        // no-op); waking on *any* armed timer would also be correct but
+        // triggers a no-op tick per unrelated expiry.
         for vc in &self.vcs {
             let (ib, row, _) = vc.target;
             let at = match self.device.open_row(ib) {
                 None => self.device.activate_ready_at(ib),
-                Some(open) if open == row => self.device.access_ready_at(ib),
+                Some(open) if open == row => {
+                    if self.needs_turnaround(vc.kind) {
+                        now
+                    } else {
+                        self.device.access_ready_at(ib)
+                    }
+                }
                 Some(_) => self.device.precharge_ready_at(ib),
             };
-            if at > now {
-                consider(at);
+            let candidate = if at > now {
+                at.max(schedule_from)
+            } else if after_work || turning {
+                schedule_from
+            } else {
+                continue;
+            };
+            if candidate <= next {
+                return Some(next);
+            }
+            wake = wake.min(candidate);
+        }
+        // Injection candidates only matter while a context slot is
+        // free; when all slots are busy, the unblocking event is a
+        // context retiring, which is work.
+        if self.vcs.len() < self.config.vector_contexts {
+            if let Some(e) = self.fifo.front() {
+                wake = wake.min(e.injectable_at.max(e.addr_ready_at));
+            }
+            for r in &self.retries {
+                wake = wake.min(r.not_before);
+            }
+            for (_, r) in &self.returning {
+                wake = wake.min(r.not_before);
             }
         }
         if let Some(at) = self.device.next_refresh_wake() {
-            consider(at);
+            wake = wake.min(at.max(schedule_from));
         }
         // Candidates are at or after the next cycle by construction (a
         // due event would have been work this tick); clamp defensively.
-        wake.map(|w| w.max(now + 1))
+        (wake != u64::MAX).then(|| wake.max(next))
+    }
+
+    /// Whether a CAS of direction `kind` must first turn the data bus
+    /// around (§5.2.4/§5.2.5).
+    fn needs_turnaround(&self, kind: OpKind) -> bool {
+        self.config.turnaround_cycles > 0 && self.data_polarity.is_some_and(|p| p != kind)
     }
 
     /// Bulk-advances the controller across `cycles` quiescent cycles —
@@ -1062,13 +1092,7 @@ impl BankController {
         if self.config.sdram.t_faw == 0 || self.device.channel_rrd_remaining() > 0 {
             return false;
         }
-        let free = self
-            .device
-            .channel_faw_remaining()
-            .iter()
-            .filter(|&&r| r == 0)
-            .count();
-        if free != 1 {
+        if self.device.channel_faw_free() != 1 {
             return false;
         }
         let now = self.device.now();
@@ -1113,15 +1137,15 @@ impl BankController {
             return false;
         }
         let kind = self.vcs[i].kind;
-        // Bus turnaround on polarity reversal (§5.2.5).
-        if let Some(p) = self.data_polarity {
-            if p != kind && self.config.turnaround_cycles > 0 {
-                self.turnaround_left = self.config.turnaround_cycles;
-                self.stats.turnarounds += 1;
-                self.data_polarity = Some(kind);
-                self.window_stale = true;
-                return true;
-            }
+        // Bus turnaround on polarity reversal (§5.2.5): the slot of this
+        // cycle and the next `turnaround_cycles` stays empty.
+        if self.needs_turnaround(kind) {
+            self.turnaround_until =
+                self.device.now() + u64::from(self.config.turnaround_cycles) + 1;
+            self.stats.turnarounds += 1;
+            self.data_polarity = Some(kind);
+            self.window_stale = true;
+            return true;
         }
         // READ and WRITE share one legality rule, so a READ stands for
         // either in the debug cross-check.
@@ -1238,6 +1262,12 @@ impl BankController {
             OpKind::Read => {
                 self.stats.elements_read += k;
                 self.log_op(class, ib, row);
+                // The device read the burst at issue: hand its words to
+                // the transaction table now, each tagged with the cycle
+                // it reaches the pins.
+                while let Some(word) = self.device.take_in_flight() {
+                    self.route_read(word, txns);
+                }
             }
             OpKind::Write => {
                 self.stats.elements_written += k;
@@ -1359,6 +1389,13 @@ mod tests {
         BankController::new(BankId::new(bank), cfg, pla)
     }
 
+    /// One cycle of the controller as the unit runs it: the tick, then
+    /// the read data due at the pins lands in the table.
+    fn step(bc: &mut BankController, now: u64, txns: &mut TransactionTable) {
+        bc.tick(now, txns);
+        txns.settle(now);
+    }
+
     fn open_read_txn(txns: &mut TransactionTable, id: TxnId, len: u64) {
         txns.open(
             id,
@@ -1403,10 +1440,7 @@ mod tests {
         };
         assert_eq!(bc.observe_command(&cmd, None, 0), 2);
         for now in 1..60 {
-            bc.tick(now, &mut txns);
-            if bc.idle() {
-                break;
-            }
+            step(&mut bc, now, &mut txns);
         }
         let txn = txns.get(TxnId(0)).unwrap();
         // Elements 5 and 21 (addresses 5 and 21) belong to bank 5.
@@ -1429,8 +1463,8 @@ mod tests {
         };
         assert_eq!(bc.observe_command(&cmd, None, 0), 8);
         for now in 1..200 {
-            bc.tick(now, &mut txns);
-            if bc.idle() {
+            step(&mut bc, now, &mut txns);
+            if bc.idle() && txns.next_completion().is_none() {
                 break;
             }
         }
@@ -1469,7 +1503,7 @@ mod tests {
         };
         assert_eq!(bc.observe_command(&cmd, Some(line), 0), 4);
         for now in 1..200 {
-            bc.tick(now, &mut txns);
+            step(&mut bc, now, &mut txns);
             if bc.idle() && txns.get(TxnId(1)).unwrap().banks_done() {
                 break;
             }
@@ -1497,7 +1531,7 @@ mod tests {
             };
             bc.observe_command(&cmd, None, 0);
             for now in 1..200 {
-                bc.tick(now, &mut txns);
+                step(&mut bc, now, &mut txns);
                 if txns.get(TxnId(0)).unwrap().banks_done() {
                     return now;
                 }
@@ -1520,7 +1554,7 @@ mod tests {
             };
             bc.observe_command(&cmd, None, 0);
             for now in 1..200 {
-                bc.tick(now, &mut txns);
+                step(&mut bc, now, &mut txns);
                 if txns.get(TxnId(0)).unwrap().banks_done() {
                     return now;
                 }
@@ -1532,6 +1566,50 @@ mod tests {
         let pow2 = run(16);
         let npow2 = run(48);
         assert_eq!(npow2 - pow2, 2);
+    }
+
+    #[test]
+    fn fhc_entries_inject_exactly_at_their_deadlines() {
+        // Three single-element stride-48 reads (not a power of two, all
+        // in bank 0) broadcast on cycles 0, 1 and 2, with a 5-cycle FHC
+        // so the one multiply-add unit is the bottleneck:
+        //   A @0: bypass, injectable 0+1+5 = 6; FHC 0..=4, ready 4 -> 6
+        //   B @1: FIFO,   injectable 1+2+5 = 8; FHC 5..=9, ready 9 -> 9
+        //   C @2: FIFO,   injectable 2+2+5 = 9; FHC 10..=14      -> 14
+        let cfg = PvaConfig {
+            fhc_latency: 5,
+            ..PvaConfig::default()
+        };
+        let pla = Arc::new(K1Pla::new(&cfg.geometry));
+        let mut bc = BankController::new(BankId::new(0), cfg, pla);
+        let mut txns = TransactionTable::new(8);
+        let mut injected = Vec::new();
+        for now in 0..40 {
+            if now < 3 {
+                let id = TxnId(now as u8);
+                open_read_txn(&mut txns, id, 1);
+                let cmd = VectorCommand {
+                    vector: Vector::new(64 * now, 48, 1).unwrap(),
+                    kind: OpKind::Read,
+                    txn: id,
+                };
+                assert_eq!(bc.observe_command(&cmd, None, now), 1);
+                let ready = [6, 9, 14][now as usize];
+                assert_eq!(bc.fifo.back().map(RfEntry::ready_at), Some(ready));
+                // Only the head's broadcast wakes the controller.
+                let head = (now == 0).then_some(ready);
+                assert_eq!(bc.broadcast_wake(), head);
+            }
+            let queued = bc.fifo.len();
+            step(&mut bc, now, &mut txns);
+            if bc.fifo.len() < queued {
+                injected.push(now);
+            }
+        }
+        assert_eq!(injected, [6, 9, 14]);
+        for id in 0..3 {
+            assert!(txns.get(TxnId(id)).unwrap().banks_done());
+        }
     }
 
     #[test]
@@ -1547,8 +1625,8 @@ mod tests {
         };
         bc.observe_command(&cmd, None, 0);
         for now in 1..400 {
-            bc.tick(now, &mut txns);
-            if bc.idle() {
+            step(&mut bc, now, &mut txns);
+            if bc.idle() && txns.next_completion().is_none() {
                 break;
             }
         }
@@ -1591,7 +1669,7 @@ mod tests {
         bc.observe_command(&read, None, 0);
         bc.observe_command(&write, Some(line), 0);
         for now in 1..400 {
-            bc.tick(now, &mut txns);
+            step(&mut bc, now, &mut txns);
             if bc.idle() && txns.get(TxnId(1)).unwrap().banks_done() {
                 break;
             }
@@ -1667,7 +1745,7 @@ mod tests {
                     assert_eq!(short.device().now(), full.device().now(), "{at}: clock");
                     compared += 1;
                 }
-                bc.tick(now, &mut txns);
+                step(&mut bc, now, &mut txns);
             }
             for id in [TxnId(0), TxnId(1)] {
                 assert!(txns.get(id).unwrap().banks_done(), "{name}");

@@ -4,9 +4,9 @@
 //! fast path instead keeps one pending wake-up per controller in a
 //! flat `next_run` table, runs the earliest, and bulk-advances the
 //! clock across the gap — cycles where provably nothing can change are
-//! never executed. Controllers that finish a tick without doing work
-//! publish a wake hint (the earliest cycle their next tick could act);
-//! controllers fully at rest park until a broadcast re-arms them.
+//! never executed. Every controller tick publishes a wake hint (the
+//! earliest cycle its next tick could act); controllers with nothing
+//! pending park until a broadcast re-arms them.
 
 /// Number of jump-size histogram buckets in [`EventStats::jump_hist`].
 pub const JUMP_BUCKETS: usize = 8;
@@ -28,6 +28,9 @@ pub struct EventStats {
     pub jumps: u64,
     /// Controller wake-ups popped from the queue.
     pub events_popped: u64,
+    /// Controller ticks that did no work (each still published a wake
+    /// hint): the waste an exact hint would remove.
+    pub idle_ticks: u64,
     /// Histogram of jump sizes: bucket `i` counts jumps of
     /// `2^i ..= 2^(i+1) - 1` cycles; the last bucket is open-ended
     /// (`128+` with the default [`JUMP_BUCKETS`]).
@@ -50,6 +53,7 @@ impl EventStats {
         self.skipped_cycles += other.skipped_cycles;
         self.jumps += other.jumps;
         self.events_popped += other.events_popped;
+        self.idle_ticks += other.idle_ticks;
         for (acc, v) in self.jump_hist.iter_mut().zip(other.jump_hist) {
             *acc += v;
         }
@@ -275,6 +279,7 @@ mod tests {
             executed_cycles: 1,
             skipped_cycles: 9,
             events_popped: 5,
+            idle_ticks: 2,
             ..EventStats::default()
         };
         b.record_jump(200);
@@ -283,6 +288,7 @@ mod tests {
         assert_eq!(a.skipped_cycles, 99);
         assert_eq!(a.jumps, 2);
         assert_eq!(a.events_popped, 5);
+        assert_eq!(a.idle_ticks, 2);
         assert_eq!(a.jump_hist[1], 1);
         assert_eq!(a.jump_hist[JUMP_BUCKETS - 1], 1);
     }

@@ -6,7 +6,18 @@
 //! (§5.2.2 "Staging Units", §5.2.6). [`TransactionTable`] centralizes
 //! that state: bank controllers deposit gathered words / report
 //! committed writes, and the front end watches for completion.
+//!
+//! A read word is deposited when its CAS issues (the device reads the
+//! cell at issue), tagged with the cycle its data reaches the pins. It
+//! counts as collected only once the unit has
+//! [`settle`](TransactionTable::settle)d that cycle, so a transaction
+//! leaves [`TxnPhase::InBanks`] at its last word's return cycle, exactly
+//! as if every word had been handed over at the pins. Once every word
+//! of a read is deposited that cycle is known in advance
+//! ([`next_completion`](TransactionTable::next_completion)), so the
+//! unit need not execute the cycles in which earlier words land.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::command::{OpKind, TxnId};
@@ -35,9 +46,9 @@ pub struct Transaction {
     pub request_index: usize,
     /// Cycle the vector command was broadcast.
     pub issued_at: u64,
-    /// Gathered words by element index (reads).
+    /// Gathered words by element index (reads), stored at CAS issue.
     pub collected: Vec<Option<u64>>,
-    /// Number of elements gathered so far.
+    /// Number of gathered elements whose data has reached the pins.
     pub collected_count: u64,
     /// Number of elements committed to SDRAM so far (writes).
     pub committed_count: u64,
@@ -94,6 +105,15 @@ pub struct TransactionTable {
     /// not been handled yet — lets the per-cycle completion scan prove
     /// itself empty in O(1).
     banks_done: usize,
+    /// Read words deposited but not yet on the pins, as
+    /// `(return cycle, transaction)` ordered by return cycle.
+    landing: VecDeque<(u64, TxnId)>,
+    /// Per slot: words deposited so far and the latest return cycle
+    /// among them.
+    deposits: Vec<(u64, u64)>,
+    /// Cached earliest cycle at which a fully deposited read's last word
+    /// lands (`u64::MAX` when none is pending).
+    next_done: u64,
 }
 
 impl TransactionTable {
@@ -104,6 +124,9 @@ impl TransactionTable {
             open: 0,
             moved: 0,
             banks_done: 0,
+            landing: VecDeque::new(),
+            deposits: vec![(0, 0); ids],
+            next_done: u64::MAX,
         }
     }
 
@@ -125,6 +148,7 @@ impl TransactionTable {
         assert!(slot.is_none(), "transaction {id} already open");
         self.moved += txn.collected_count + txn.committed_count;
         self.open += 1;
+        self.deposits[id.0 as usize] = (txn.collected_count, 0);
         *slot = Some(txn);
     }
 
@@ -138,24 +162,35 @@ impl TransactionTable {
         self.slots[id.0 as usize].as_mut()
     }
 
-    /// Deposits a gathered word (bank controllers call this when SDRAM
-    /// data returns).
+    /// Deposits a gathered word whose data reaches the pins at cycle
+    /// `at` (bank controllers call this when the READ CAS issues). The
+    /// word counts as collected from [`settle`](TransactionTable::settle)
+    /// at `at` on.
     ///
     /// # Panics
     ///
     /// Panics on double deposit or an unknown transaction — both would
     /// be hardware bugs, not recoverable conditions.
-    pub fn deposit(&mut self, id: TxnId, element: u64, data: u64) {
+    pub fn deposit(&mut self, id: TxnId, element: u64, data: u64, at: u64) {
         let txn = self.slots[id.0 as usize]
             .as_mut()
             .expect("deposit into open transaction");
         let slot = &mut txn.collected[element as usize];
         assert!(slot.is_none(), "element {element} deposited twice");
         *slot = Some(data);
-        txn.collected_count += 1;
-        self.moved += 1;
-        if txn.collected_count == txn.length {
-            self.banks_done += 1;
+        // Return cycles grow with issue order, so the word almost
+        // always goes at (or a beat from) the back.
+        if self.landing.back().is_none_or(|&(a, _)| a <= at) {
+            self.landing.push_back((at, id));
+        } else {
+            let pos = self.landing.partition_point(|&(a, _)| a <= at);
+            self.landing.insert(pos, (at, id));
+        }
+        let (words, last) = &mut self.deposits[id.0 as usize];
+        *words += 1;
+        *last = (*last).max(at);
+        if *words == txn.length {
+            self.next_done = self.next_done.min(*last);
         }
     }
 
@@ -168,12 +203,54 @@ impl TransactionTable {
     ///
     /// Panics on double deposit or an unknown transaction, like
     /// [`TransactionTable::deposit`].
-    pub fn deposit_faulted(&mut self, id: TxnId, element: u64, data: u64) {
-        self.deposit(id, element, data);
+    pub fn deposit_faulted(&mut self, id: TxnId, element: u64, data: u64, at: u64) {
+        self.deposit(id, element, data, at);
         let txn = self.slots[id.0 as usize]
             .as_mut()
             .expect("deposit into open transaction");
         txn.faulted.push(element);
+    }
+
+    /// Counts every deposited word whose return cycle is at or before
+    /// `now` as collected, and returns the latest such cycle (`None`
+    /// when no word landed). The unit calls it after the bank
+    /// controllers tick in every cycle it executes.
+    pub fn settle(&mut self, now: u64) -> Option<u64> {
+        let mut latest = None;
+        while let Some(&(at, id)) = self.landing.front() {
+            if at > now {
+                break;
+            }
+            self.landing.pop_front();
+            let txn = self.slots[id.0 as usize]
+                .as_mut()
+                .expect("a landing word's transaction stays open");
+            txn.collected_count += 1;
+            self.moved += 1;
+            if txn.collected_count == txn.length {
+                self.banks_done += 1;
+            }
+            latest = Some(at);
+        }
+        // A read finishes only when its last word lands.
+        if latest.is_some() && self.next_done <= now {
+            self.next_done = self
+                .iter_open()
+                .filter(|&(id, t)| {
+                    t.collected_count < t.length && self.deposits[id.0 as usize].0 == t.length
+                })
+                .map(|(id, _)| self.deposits[id.0 as usize].1)
+                .min()
+                .unwrap_or(u64::MAX);
+        }
+        latest
+    }
+
+    /// The earliest cycle at which a read whose words are all deposited
+    /// has its last word land, finishing it in the banks (`None` when
+    /// no such read is pending).
+    pub fn next_completion(&self) -> Option<u64> {
+        (self.next_done != u64::MAX).then_some(self.next_done)
     }
 
     /// Records `count` committed write elements.
@@ -274,8 +351,9 @@ mod tests {
     fn faulted_deposit_completes_but_is_recorded() {
         let mut t = TransactionTable::new(1);
         t.open(TxnId(0), read_txn(2));
-        t.deposit(TxnId(0), 0, 10);
-        t.deposit_faulted(TxnId(0), 1, 0xBAD);
+        t.deposit(TxnId(0), 0, 10, 0);
+        t.deposit_faulted(TxnId(0), 1, 0xBAD, 0);
+        t.settle(0);
         let txn = t.get(TxnId(0)).unwrap();
         assert!(txn.banks_done());
         assert_eq!(txn.faulted, vec![1]);
@@ -301,7 +379,8 @@ mod tests {
         t.open(TxnId(0), read_txn(3));
         for i in 0..3 {
             assert!(!t.get(TxnId(0)).unwrap().banks_done());
-            t.deposit(TxnId(0), i, 100 + i);
+            t.deposit(TxnId(0), i, 100 + i, i);
+            t.settle(i);
         }
         let txn = t.get(TxnId(0)).unwrap();
         assert!(txn.banks_done());
@@ -313,8 +392,37 @@ mod tests {
     fn double_deposit_panics() {
         let mut t = TransactionTable::new(1);
         t.open(TxnId(0), read_txn(2));
-        t.deposit(TxnId(0), 0, 1);
-        t.deposit(TxnId(0), 0, 2);
+        t.deposit(TxnId(0), 0, 1, 5);
+        t.deposit(TxnId(0), 0, 2, 6);
+    }
+
+    #[test]
+    fn read_leaves_in_banks_at_its_last_return_cycle() {
+        // Three words deposited at issue, returning out of deposit order
+        // at cycles 9, 7 and 12: the read finishes in the banks at 12.
+        let mut t = TransactionTable::new(2);
+        t.open(TxnId(1), read_txn(3));
+        t.deposit(TxnId(1), 0, 10, 9);
+        t.deposit(TxnId(1), 1, 11, 7);
+        assert_eq!(t.next_completion(), None, "a word is not deposited yet");
+        t.deposit(TxnId(1), 2, 12, 12);
+        assert_eq!(t.next_completion(), Some(12));
+        assert_eq!(t.settle(6), None, "nothing is on the pins before cycle 7");
+        assert_eq!(t.settle(7), Some(7));
+        assert_eq!(t.settle(11), Some(9));
+        assert_eq!(t.get(TxnId(1)).unwrap().collected_count, 2);
+        assert_eq!(t.progress_counters(), (1, 2));
+        assert_eq!(t.banks_done_count(), 0);
+        assert!(
+            !t.get(TxnId(1)).unwrap().banks_done(),
+            "one word is still in flight"
+        );
+        assert_eq!(t.next_completion(), Some(12));
+        assert_eq!(t.settle(12), Some(12));
+        assert!(t.get(TxnId(1)).unwrap().banks_done());
+        assert_eq!(t.banks_done_count(), 1);
+        assert_eq!(t.next_completion(), None);
+        assert_eq!(t.get(TxnId(1)).unwrap().line(), vec![10, 11, 12]);
     }
 
     #[test]

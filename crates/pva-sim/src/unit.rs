@@ -402,17 +402,43 @@ impl PvaUnit {
             self.progress_mark = self.progress_fingerprint();
             return Ok(());
         }
-        let mark = self.progress_fingerprint();
-        if mark != self.progress_mark {
-            self.progress_mark = mark;
-            self.last_progress = self.now;
-        } else if self.now - self.last_progress >= self.config.watchdog_cycles {
+        if !self.note_progress(self.now)
+            && self.now - self.last_progress >= self.config.watchdog_cycles
+        {
             return Err(PvaError::Watchdog {
                 cycle: self.now,
                 stalled_txns: self.txns.open_count(),
             });
         }
         Ok(())
+    }
+
+    /// Records forward progress at cycle `at` if the fingerprint moved
+    /// since the last mark. Returns whether it did.
+    fn note_progress(&mut self, at: u64) -> bool {
+        let mark = self.progress_fingerprint();
+        if mark == self.progress_mark {
+            return false;
+        }
+        self.progress_mark = mark;
+        self.last_progress = at;
+        true
+    }
+
+    /// Lands the read words whose return cycle a jump skipped (before
+    /// `now`) and credits the watchdog with that progress at the last
+    /// of those cycles, as the reference's per-cycle check would have.
+    /// Only words that finish no read can land in a skip:
+    /// [`front_wake`](PvaUnit::front_wake) stops at every completion.
+    fn settle_skipped(&mut self) {
+        if self.now == 0 {
+            return;
+        }
+        if let Some(at) = self.txns.settle(self.now - 1) {
+            debug_assert_eq!(self.txns.banks_done_count(), 0, "a read finished in a skip");
+            // The reference checks after advancing its clock past `at`.
+            self.note_progress(at + 1);
+        }
     }
 
     /// Earliest cycle the front end (bus + transaction table) does
@@ -422,11 +448,14 @@ impl PvaUnit {
     /// this very cycle; `Some(later)` when the bus is mid-transfer —
     /// the intermediate data beats are pure counter advancement and
     /// only the final beat (transaction close / `VEC_WRITE` hand-off)
-    /// changes state; `None` when the front end is blocked until a
-    /// controller deposits. Front-end state only changes at executed
-    /// cycles, so the event loop may jump the gaps this exposes.
+    /// changes state — or when the last word of a read reaches the pins
+    /// and finishes it in the banks; `None` when the front end is
+    /// blocked until a controller issues. Earlier words only move the
+    /// watchdog's counters, which the loop settles lazily. Front-end
+    /// state only changes at executed cycles, so the event loop may
+    /// jump the gaps this exposes.
     fn front_wake(&self) -> Option<u64> {
-        match self.bus {
+        let bus = match self.bus {
             BusActivity::Staging { cycles_left, .. } => Some(self.now + cycles_left - 1),
             BusActivity::Idle => {
                 if !self.write_broadcasts.is_empty()
@@ -439,6 +468,10 @@ impl PvaUnit {
                     None
                 }
             }
+        };
+        match (bus, self.txns.next_completion()) {
+            (Some(b), Some(l)) => Some(b.min(l)),
+            (b, l) => b.or(l),
         }
     }
 
@@ -448,12 +481,16 @@ impl PvaUnit {
     /// idle gaps. Cycle-exact with the reference stepper by
     /// construction:
     ///
-    /// * a controller whose tick did no work reports the earliest cycle
-    ///   the decision could change ([`BankController::wake_hint`]);
-    ///   every cycle before it replays the same no-op;
-    /// * a broadcast re-arms the controllers it hits at the broadcast
-    ///   cycle itself (the reference model runs their first-hit logic
-    ///   that same tick);
+    /// * every controller tick reports the earliest cycle the
+    ///   controller could act ([`BankController::wake_hint`]); every
+    ///   cycle before it replays a no-op, and a controller with no hint
+    ///   parks;
+    /// * a broadcast that queues a new FIFO head while a vector context
+    ///   is free wakes the controller at the cycle that entry can enter
+    ///   it ([`BankController::broadcast_wake`]);
+    /// * read data lands in the transaction table at its return cycle
+    ///   without ticking the controller that issued it, and the front
+    ///   end wakes when a read's last word lands;
     /// * skipped cycles advance only the pure counters — cycle/idle
     ///   stats here, device clocks and restimers lazily per controller
     ///   on its next wake;
@@ -559,6 +596,7 @@ impl PvaUnit {
         self.now = target;
         self.event_stats.skipped_cycles += gap;
         self.event_stats.record_jump(gap);
+        self.settle_skipped();
     }
 
     /// Debug-build wake-hint soundness oracle: before every jump the
@@ -573,8 +611,9 @@ impl PvaUnit {
     /// identical controller and device statistics, and an untouched
     /// transaction table, mean every replayed tick was the no-op the
     /// hint promised. A `compute_wake` source that forgets a wake
-    /// condition (a stale row-timer bound, a dropped read-return check)
-    /// trips these assertions on the first sweep that crosses it.
+    /// condition (a stale row-timer bound, a dropped turnaround or FHC
+    /// deadline) trips these assertions on the first sweep that
+    /// crosses it.
     ///
     /// This is the dynamic half of the `pva-analysis` wake-hint pass:
     /// the static pass checks that every trigger in the controller has
@@ -624,20 +663,19 @@ impl PvaUnit {
     /// Executes one full cycle of the event loop: bus arbitration, all
     /// due bank controllers (in index order, like the reference), and
     /// transaction bookkeeping, then reschedules each ticked controller
-    /// from its outcome.
+    /// from its hint.
     fn exec_cycle(&mut self) -> Result<(), PvaError> {
         let t = self.now;
-        // A broadcast inside bus_step wakes the hit controllers at `t`,
-        // so they are popped below within this same cycle.
         self.bus_step();
-        let mut bc_work = false;
         // One batched drain: controller ticks never wake another
         // controller at the same cycle (hints clamp to `now + 1`;
-        // broadcasts happen in `bus_step` above), so the due set is
-        // fixed before the first tick runs.
+        // broadcasts happen in `bus_step` above and wake no earlier
+        // than `t + 1`), so the due set is fixed before the first tick
+        // runs.
         let mut due = std::mem::take(&mut self.due_scratch);
         self.sched.drain_due(t, &mut due);
         self.event_stats.events_popped += due.len() as u64;
+        let mut bc_work = false;
         for &b in &due {
             let b = b as usize;
             let lag = t - self.bc_clock[b];
@@ -647,23 +685,19 @@ impl PvaUnit {
             self.bc_clock[b] = t + 1;
             let worked = self.bcs[b].tick(t, &mut self.txns);
             bc_work |= worked;
-            // A tick that worked publishes no hint. One that did not
-            // but has no hint either, while not at rest (a state the
-            // hint sources do not cover), falls back to per-cycle
-            // stepping rather than risk sleeping through a transition.
+            if !worked {
+                self.event_stats.idle_ticks += 1;
+            }
+            // No hint: parked until a broadcast re-arms it.
             if let Some(w) = self.bcs[b].wake_hint() {
                 self.sched.wake(b, w);
-            } else if worked || !self.bcs[b].quiet() {
-                self.sched.wake(b, t + 1);
             }
-            // Quiet with no hint: parked until a broadcast re-arms it.
         }
         self.due_scratch = due;
-        // Phase transitions require a deposit or commit this very cycle
-        // (they happen the cycle the last element lands), and every
-        // deposit/commit marks its controller's tick as work — no
-        // controller work means the scan is provably empty.
-        if bc_work {
+        // Phase transitions need a landing or a commit this very cycle,
+        // and every commit is controller work.
+        let landed = self.txns.settle(t).is_some();
+        if bc_work || landed {
             self.finish_transactions();
         }
         self.stats.cycles += 1;
@@ -713,6 +747,7 @@ impl PvaUnit {
         for bc in &mut self.bcs {
             work |= bc.tick(self.now, &mut self.txns);
         }
+        work |= self.txns.settle(self.now).is_some();
         work |= self.finish_transactions();
         self.stats.cycles += 1;
         self.now += 1;
@@ -922,12 +957,10 @@ impl PvaUnit {
         for (b, bc) in self.bcs.iter_mut().enumerate() {
             let served = bc.observe_command(&cmd, line.clone(), self.now);
             covered += served;
-            if served > 0 {
-                // The reference model runs the hit controllers'
-                // first-hit logic this very tick; the event loop must
-                // pop them at the broadcast cycle too (no-op when the
-                // loop is not running — the queue is disarmed).
-                self.sched.wake_if_armed(b, self.now);
+            if let Some(at) = bc.broadcast_wake().filter(|_| served > 0) {
+                // No-op when the loop is not running: the queue is
+                // disarmed.
+                self.sched.wake_if_armed(b, at);
             }
         }
         debug_assert_eq!(covered, vector.length(), "banks must cover the vector");

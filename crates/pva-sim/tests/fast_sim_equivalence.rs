@@ -175,6 +175,36 @@ fn watchdog_fires_at_identical_cycle() {
 }
 
 #[test]
+fn watchdog_credits_progress_landing_in_a_skip() {
+    // A read over banks 0 and 8 whose first element sits in the dead
+    // internal bank 0 and retries forever, while the other elements sit
+    // in healthy internal banks (one row span apart): their words land
+    // while the event loop skips, and the watchdog must date that
+    // progress at the cycles the words reached the pins, as the
+    // reference does.
+    let mut cfg = PvaConfig::default();
+    cfg.sdram.ecc = false;
+    cfg.sdram.fault.hard_failed_bank = Some(0);
+    cfg.degradation = false;
+    cfg.max_read_retries = u32::MAX;
+    cfg.retry_backoff_cycles = 64;
+    cfg.watchdog_cycles = 3_000;
+    let fire = |fast: bool| -> (u64, usize) {
+        let mut c = cfg;
+        c.fast_sim = fast;
+        let stride = 16 * (1 << c.sdram.log2_cols) + 8;
+        match run_with(c, &[read(0, stride, 4)]) {
+            Err(PvaError::Watchdog {
+                cycle,
+                stalled_txns,
+            }) => (cycle, stalled_txns),
+            other => panic!("expected watchdog, got {other:?}"),
+        }
+    };
+    assert_eq!(fire(true), fire(false), "watchdog cycle and stall count");
+}
+
+#[test]
 fn decaying_rows_match() {
     // Retention decay across an idle-heavy run: a row written early
     // must lose bits identically in both models when revisited past
@@ -430,4 +460,46 @@ fn event_accounting_covers_every_cycle() {
     );
     assert!(ev.skipped_cycles > 0, "sparse traffic must skip cycles");
     assert!(ev.events_popped > 0, "wake-ups drive every executed tick");
+}
+
+#[test]
+fn bounded_runs_match_one_run() {
+    // The event loop restarts at every `run_until` call: it re-arms
+    // every controller at the current cycle, whatever the controller is
+    // in the middle of (a bus turnaround, read data on its way to the
+    // pins). Stepping the deadline a few cycles at a time through
+    // read/write traffic must reproduce one uninterrupted reference run.
+    for preset in [DevicePreset::Sdr100, DevicePreset::Ddr3_1600] {
+        for kernel in [Kernel::Copy, Kernel::Swap] {
+            let bases = Alignment::BankStagger.bases(kernel.array_count(), ARRAY_REGION);
+            let requests = requests_of(&kernel.trace(&bases, 19, 128, LINE_WORDS));
+            let label = format!("{}/{kernel}", preset.name());
+            let reference = run_with(
+                PvaConfig {
+                    fast_sim: false,
+                    ..preset_cfg(preset)
+                },
+                &requests,
+            )
+            .expect("reference run succeeds");
+            let turnarounds: u64 = reference.bc_stats.iter().map(|s| s.turnarounds).sum();
+            assert!(turnarounds > 0, "{label}: the traffic must turn the bus");
+            let mut unit = PvaUnit::new(preset_cfg(preset)).expect("valid config");
+            for r in requests.iter().cloned() {
+                unit.submit(r).expect("request fits");
+            }
+            let mut deadline = 0;
+            while !unit.run_until(deadline).expect("bounded run succeeds") {
+                deadline += 7;
+            }
+            assert_eq!(unit.now(), reference.cycles, "{label}: cycles");
+            assert_eq!(
+                unit.take_completions(),
+                reference.completions,
+                "{label}: completions"
+            );
+            assert_eq!(unit.bc_stats(), reference.bc_stats, "{label}: bank stats");
+            assert_eq!(unit.sdram_stats(), reference.sdram, "{label}: device stats");
+        }
+    }
 }

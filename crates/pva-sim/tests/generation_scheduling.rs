@@ -171,3 +171,27 @@ fn tfaw_deferral_matches_the_reference_stepper() {
     assert_eq!(event.sdram, reference.sdram, "device stats");
     assert_eq!(event.completions, reference.completions, "completions");
 }
+
+#[test]
+fn tfaw_binds_at_a_pinned_cycle_count() {
+    // Four reads confined to external bank 0, each striding four row
+    // spans so its elements alternate between internal banks j and
+    // j + 4 on a fresh row every time: 32 activates, issued as fast as
+    // tRRD (6) allows. Four of them fit in 24 cycles, inside tFAW (26),
+    // so the four-activate window is what paces the stream, and the
+    // cycle count is pinned: with the tFAW gate gone it drops to 262.
+    let cfg = ddr3_cfg();
+    let span = 16 << cfg.sdram.log2_cols;
+    let requests: Vec<HostRequest> = (0..4).map(|j| read(j * span, 4 * span, 8)).collect();
+    let run = |fast_sim: bool| {
+        let mut unit = PvaUnit::new(PvaConfig { fast_sim, ..cfg }).unwrap();
+        unit.run(requests.clone()).unwrap()
+    };
+    let (event, reference) = (run(true), run(false));
+    assert_eq!(event.sdram.activates, 32);
+    assert_eq!(reference.cycles, 274, "reference cycles");
+    assert_eq!(event.cycles, reference.cycles, "cycles");
+    assert_eq!(event.bc_stats, reference.bc_stats, "controller stats");
+    assert_eq!(event.sdram, reference.sdram, "device stats");
+    assert_eq!(event.completions, reference.completions, "completions");
+}

@@ -953,6 +953,18 @@ impl Sdram {
         rem
     }
 
+    /// Number of tFAW window slots free at the current cycle (4 when
+    /// the window admits four immediate ACTIVATEs) — the count of zero
+    /// residuals in [`channel_faw_remaining`](Sdram::channel_faw_remaining),
+    /// without sorting them.
+    pub fn channel_faw_free(&self) -> usize {
+        self.channel
+            .faw_slots()
+            .iter()
+            .filter(|&&at| at <= self.now)
+            .count()
+    }
+
     /// The earliest future cycle at which the refresh machinery changes
     /// state on its own: an in-progress AUTO REFRESH finishing, or the
     /// periodic refresh interval lapsing. While a refresh is *due*,
@@ -1021,6 +1033,14 @@ impl Sdram {
             }
         }
         out
+    }
+
+    /// Removes and returns the oldest in-flight read whatever its
+    /// return cycle: the word's data and `at_cycle` are fixed when its
+    /// CAS issues, so a consumer that tracks the return cycle itself
+    /// can take the burst at issue instead of polling the pins.
+    pub fn take_in_flight(&mut self) -> Option<ReadReturn> {
+        self.in_flight.pop_front()
     }
 
     /// Whether any read data is still in flight.
@@ -1191,9 +1211,11 @@ impl Sdram {
     /// Composes internal coordinates back into a device-local address
     /// (inverse of [`SdramConfig::map`]).
     pub fn local_addr(&self, bank: u32, row: u64, col: u64) -> u64 {
+        // `internal_banks` is a power of two by validation: a shift and
+        // a mask split the rank from the internal bank.
         let ib_bits = self.config.internal_banks.trailing_zeros();
-        let rank = (bank / self.config.internal_banks) as u64;
-        let ib = (bank % self.config.internal_banks) as u64;
+        let rank = (bank >> ib_bits) as u64;
+        let ib = (bank & (self.config.internal_banks - 1)) as u64;
         let row_field = (rank << self.config.log2_rows) | row;
         (((row_field << ib_bits) | ib) << self.config.log2_cols) | col
     }

@@ -116,12 +116,14 @@ fn tfaw_throttles_the_fifth_activate() {
     let mut d = ddr3();
     // Four ACTIVATEs at the tRRD floor: cycles 0, 6, 12, 18.
     for bank in 0..4 {
+        assert_eq!(d.channel_faw_free(), 4 - bank as usize);
         let ready = d.activate_ready_at(bank);
         tick_to(&mut d, ready);
         d.issue(SdramCmd::Activate { bank, row: 1 }).unwrap();
         d.tick();
     }
     assert_eq!(d.now(), 19);
+    assert_eq!(d.channel_faw_free(), 0);
     // tRRD would admit bank 4 at cycle 24, but the window of the first
     // ACTIVATE (cycle 0 + tFAW 26) holds it to 26.
     tick_to(&mut d, 24);
@@ -134,6 +136,10 @@ fn tfaw_throttles_the_fifth_activate() {
     );
     assert_eq!(d.activate_ready_at(4), 26);
     tick_to(&mut d, 26);
+    // The first window slot expires at 26: one free, the count of zero
+    // residuals.
+    assert_eq!(d.channel_faw_free(), 1);
+    assert_eq!(d.channel_faw_remaining(), [0, 6, 12, 18]);
     d.issue(SdramCmd::Activate { bank: 4, row: 1 }).unwrap();
 }
 
