@@ -18,7 +18,9 @@
 //! — the per-generation CI smoke. The preset is passed to the scenario
 //! registry as a value; such runs write and verify per-preset goldens
 //! (`techsweep.<preset>.txt`) instead of the default-sweep
-//! `techsweep.txt`.
+//! `techsweep.txt`. The `chaos` dev scenario takes its fault-injection
+//! spec the same way, as a value in its name:
+//! `pva-bench chaos:cells=8,sleep_ms=60,panic=1`.
 //!
 //! A single scenario prints exactly what its legacy binary printed
 //! (goldens live in `results/`). `all` fans every cell of every

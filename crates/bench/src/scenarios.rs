@@ -12,8 +12,8 @@ use std::time::Instant;
 
 use cache::{run_reference_stream, CacheConfig, CacheSim, Reference};
 use kernels::{
-    run_cell, run_point, run_point_outcome, Alignment, Kernel, SystemKind, ARRAY_REGION, ELEMENTS,
-    LINE_WORDS, STRIDES,
+    run_cell, run_point, run_point_outcome, Alignment, Kernel, StreamKernel, SystemKind,
+    ARRAY_REGION, ELEMENTS, LINE_WORDS, STRIDES,
 };
 use memsys::{
     CachelineConfig, CachelineSerial, MemorySystem, PvaSystem, SerialGather, SerialGatherConfig,
@@ -52,6 +52,7 @@ pub fn scenarios(device: Option<DevicePreset>) -> Vec<Scenario> {
         ext_cache_pollution(),
         related_cvms(),
         related_smc(),
+        stream(),
         tech_sweep(),
         techsweep(device),
         faults(),
@@ -65,15 +66,19 @@ pub fn scenarios(device: Option<DevicePreset>) -> Vec<Scenario> {
 /// Development-only scenarios: resolvable by name through [`find`] but
 /// excluded from `pva-bench all`. Currently just `chaos`, the
 /// fault-injection grid the resilience harness and the CI kill/resume
-/// smoke drive (configured via the `PVA_BENCH_CHAOS` environment
-/// variable).
+/// smoke drive, here with its default spec.
 pub fn dev_scenarios() -> Vec<Scenario> {
-    vec![chaos()]
+    vec![chaos(ChaosSpec::default())]
 }
 
 /// Looks a scenario up by name or alias (registry first, then the dev
-/// scenarios); `device` is passed on to [`scenarios`].
+/// scenarios); `device` is passed on to [`scenarios`]. `chaos` also
+/// resolves with its injection spec as a value, `chaos:<spec>` (see
+/// [`ChaosSpec::parse`]); a malformed spec resolves to nothing.
 pub fn find(name: &str, device: Option<DevicePreset>) -> Option<Scenario> {
+    if let Some(spec) = name.strip_prefix("chaos:") {
+        return ChaosSpec::parse(spec).map(chaos);
+    }
     scenarios(device)
         .into_iter()
         .chain(dev_scenarios())
@@ -83,34 +88,63 @@ pub fn find(name: &str, device: Option<DevicePreset>) -> Option<Scenario> {
 // ---------------------------------------------------------------------
 // Dev scenario: chaos — deterministic cells with injectable faults.
 
-/// Builds the chaos grid from `PVA_BENCH_CHAOS`, a comma-separated
-/// spec: `cells=N` (grid size, default 8), `sleep_ms=M` (per-cell work,
-/// default 50), and any number of `panic=I` / `coop=I` / `hang=I`
-/// entries marking cell `I` as always-panicking, cooperatively hanging
-/// (spins on [`memsys::deadline::checkpoint`], so a `--cell-timeout`
-/// classifies it as a timeout), or hard-hanging (sleeps for an hour
-/// without checkpoints, tripping the watchdog).
-fn chaos_cells() -> Vec<CellSpec> {
-    let spec = std::env::var("PVA_BENCH_CHAOS").unwrap_or_default();
-    let mut count = 8usize;
-    let mut sleep_ms = 50u64;
-    let (mut panics, mut coops, mut hangs) = (Vec::new(), Vec::new(), Vec::new());
-    for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
-        let (k, v) = part.split_once('=').unwrap_or((part, ""));
-        let n: u64 = v.trim().parse().unwrap_or(0);
-        match k.trim() {
-            "cells" => count = n as usize,
-            "sleep_ms" => sleep_ms = n,
-            "panic" => panics.push(n as usize),
-            "coop" => coops.push(n as usize),
-            "hang" => hangs.push(n as usize),
-            _ => {}
+/// The chaos grid's shape and the faults injected into its cells.
+struct ChaosSpec {
+    cells: usize,
+    sleep_ms: u64,
+    panic: Vec<usize>,
+    coop: Vec<usize>,
+    hang: Vec<usize>,
+}
+
+impl Default for ChaosSpec {
+    fn default() -> Self {
+        ChaosSpec {
+            cells: 8,
+            sleep_ms: 50,
+            panic: Vec::new(),
+            coop: Vec::new(),
+            hang: Vec::new(),
         }
     }
-    (0..count)
+}
+
+impl ChaosSpec {
+    /// Parses a comma-separated list: `cells=N` (grid size, default 8),
+    /// `sleep_ms=M` (per-cell work, default 50), and any number of
+    /// `panic=I` / `coop=I` / `hang=I` entries marking cell `I` as
+    /// always-panicking, cooperatively hanging (spins on
+    /// [`memsys::deadline::checkpoint`], so a `--cell-timeout`
+    /// classifies it as a timeout), or hard-hanging (sleeps for an hour
+    /// without checkpoints, tripping the watchdog). `None` on an
+    /// unknown key or a value that is not a number.
+    fn parse(spec: &str) -> Option<Self> {
+        let mut out = ChaosSpec::default();
+        for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
+            let (k, v) = part.split_once('=')?;
+            let n: u64 = v.trim().parse().ok()?;
+            match k.trim() {
+                "cells" => out.cells = n as usize,
+                "sleep_ms" => out.sleep_ms = n,
+                "panic" => out.panic.push(n as usize),
+                "coop" => out.coop.push(n as usize),
+                "hang" => out.hang.push(n as usize),
+                _ => return None,
+            }
+        }
+        Some(out)
+    }
+}
+
+fn chaos_cells(spec: &ChaosSpec) -> Vec<CellSpec> {
+    let sleep_ms = spec.sleep_ms;
+    (0..spec.cells)
         .map(|i| {
-            let (panic_me, coop_me, hang_me) =
-                (panics.contains(&i), coops.contains(&i), hangs.contains(&i));
+            let (panic_me, coop_me, hang_me) = (
+                spec.panic.contains(&i),
+                spec.coop.contains(&i),
+                spec.hang.contains(&i),
+            );
             CellSpec::new("chaos", format!("cell{i:02}"), move || {
                 if panic_me {
                     panic!("chaos: injected panic in cell {i}");
@@ -134,14 +168,14 @@ fn chaos_cells() -> Vec<CellSpec> {
         .collect()
 }
 
-fn chaos() -> Scenario {
+fn chaos(spec: ChaosSpec) -> Scenario {
     Scenario {
         name: "chaos",
         alias: "",
         title: "dev: fault-injection cells for the resilience harness",
         smoke: false,
         golden: false,
-        build: Box::new(chaos_cells),
+        build: Box::new(move || chaos_cells(&spec)),
         render: Box::new(|cells: &[CellData]| {
             let mut out = String::from("chaos cells\n");
             for (i, c) in cells.iter().enumerate() {
@@ -1208,6 +1242,62 @@ fn related_smc() -> Scenario {
 }
 
 // ---------------------------------------------------------------------
+// §2.4.1 context: McCalpin STREAM.
+
+/// Elements per STREAM array.
+const STREAM_ELEMENTS: u64 = 4096;
+/// The prototype's clock, for reporting bytes per cycle as MB/s.
+const STREAM_MHZ: f64 = 100.0;
+
+fn stream() -> Scenario {
+    Scenario {
+        name: "stream",
+        alias: "",
+        title: "§2.4.1 context: McCalpin STREAM bandwidth on the four systems",
+        smoke: true,
+        golden: true,
+        build: Box::new(|| {
+            let mut cells = Vec::new();
+            for k in StreamKernel::ALL {
+                for sys in SystemKind::ALL {
+                    cells.push(CellSpec::new(sys.name(), k.name(), move || {
+                        let cycles = k.cycles(sys.build().as_mut(), STREAM_ELEMENTS);
+                        CellData::cycles(cycles, k.bytes(STREAM_ELEMENTS))
+                    }));
+                }
+            }
+            cells
+        }),
+        render: Box::new(|cells: &[CellData]| {
+            let mut out = format!(
+                "STREAM sustained bandwidth (MB/s at {STREAM_MHZ:.0} MHz, {STREAM_ELEMENTS} elements)\n\n"
+            );
+            let _ = write!(out, "{:<10}", "kernel");
+            for sys in SystemKind::ALL {
+                let _ = write!(out, "{:>18}", sys.name());
+            }
+            out.push('\n');
+            for (k, row) in StreamKernel::ALL
+                .iter()
+                .zip(cells.chunks(SystemKind::ALL.len()))
+            {
+                let _ = write!(out, "{:<10}", k.name());
+                for c in row {
+                    let mb_s = c.bytes as f64 / c.cycles as f64 * STREAM_MHZ;
+                    let _ = write!(out, "{mb_s:>18.0}");
+                }
+                out.push('\n');
+            }
+            out.push_str(
+                "\nunit-stride STREAM is the PVA's parity case: SDRAM matches SRAM, so the bus\n\
+                 (800 MB/s peak at 64 bits x 100 MHz), not the banks, is its limit\n",
+            );
+            out
+        }),
+    }
+}
+
+// ---------------------------------------------------------------------
 // Technology / scaling / design-space / CPU-sensitivity sweeps.
 
 fn gathered_reads(cfg: PvaConfig, stride: u64) -> u64 {
@@ -2122,7 +2212,7 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(before, names.len(), "duplicate scenario name or alias");
-        assert_eq!(all.len(), 22);
+        assert_eq!(all.len(), 23);
     }
 
     #[test]
@@ -2152,6 +2242,12 @@ mod tests {
     #[test]
     fn chaos_is_a_dev_scenario_outside_the_registry() {
         assert!(find("chaos", None).is_some(), "resolvable by name");
+        let spec = find("chaos:cells=3,panic=1", None).expect("resolvable with a spec");
+        assert_eq!(spec.name, "chaos");
+        assert_eq!((spec.build)().len(), 3, "the spec sizes the grid");
+        for bad in ["chaos:cells=x", "chaos:panic", "chaos:cels=3"] {
+            assert!(find(bad, None).is_none(), "{bad} must not resolve");
+        }
         assert!(
             scenarios(None).iter().all(|s| s.name != "chaos"),
             "but never part of `all`"

@@ -130,11 +130,11 @@ fn torn_trailing_journal_line_is_tolerated_on_resume() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Builds a `pva-bench` invocation of the chaos dev scenario with the
-/// given injection spec.
-fn bench_cmd(spec: &str, args: &[&str]) -> Command {
+/// Builds a `pva-bench chaos:<spec>` invocation of the chaos dev
+/// scenario with the given injection spec.
+fn chaos_cmd(spec: &str, args: &[&str]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_pva-bench"));
-    cmd.env("PVA_BENCH_CHAOS", spec).args(args);
+    cmd.arg(format!("chaos:{spec}")).args(args);
     cmd
 }
 
@@ -147,20 +147,16 @@ fn sigkilled_child_campaign_resumes_byte_identically() {
 
     // Uninterrupted reference record.
     let ref_dir = dir.join("ref");
-    let out = bench_cmd(
-        spec,
-        &["chaos", "--jobs", "1", "--json", ref_dir.to_str().unwrap()],
-    )
-    .output()
-    .expect("reference child runs");
+    let out = chaos_cmd(spec, &["--jobs", "1", "--json", ref_dir.to_str().unwrap()])
+        .output()
+        .expect("reference child runs");
     assert!(out.status.success(), "reference: {out:?}");
 
     // Start a journaled run and SIGKILL it mid-campaign (~2-3 cells in).
     let res_dir = dir.join("res");
-    let mut child = bench_cmd(
+    let mut child = chaos_cmd(
         spec,
         &[
-            "chaos",
             "--jobs",
             "1",
             "--journal",
@@ -181,10 +177,9 @@ fn sigkilled_child_campaign_resumes_byte_identically() {
     );
 
     // Resume to completion, then compare records canonically.
-    let out = bench_cmd(
+    let out = chaos_cmd(
         spec,
         &[
-            "chaos",
             "--jobs",
             "1",
             "--journal",
@@ -207,20 +202,19 @@ fn sigkilled_child_campaign_resumes_byte_identically() {
     assert_eq!(a.canonical(), b.canonical(), "resumed record must match");
 
     // The diff verb agrees: canonical-identical records exit 0.
-    let out = bench_cmd(
-        spec,
-        &[
-            "diff",
-            ref_dir.join("BENCH_chaos.json").to_str().unwrap(),
-            res_dir.join("BENCH_chaos.json").to_str().unwrap(),
-        ],
-    )
-    .output()
-    .expect("diff runs");
+    let out = Command::new(env!("CARGO_BIN_EXE_pva-bench"))
+        .arg("diff")
+        .args([
+            ref_dir.join("BENCH_chaos.json"),
+            res_dir.join("BENCH_chaos.json"),
+        ])
+        .output()
+        .expect("diff runs");
     assert_eq!(out.status.code(), Some(0), "diff: {out:?}");
 
     // The journal itself passes `validate`.
-    let out = bench_cmd(spec, &["validate", journal_s])
+    let out = Command::new(env!("CARGO_BIN_EXE_pva-bench"))
+        .args(["validate", journal_s])
         .output()
         .expect("validate runs");
     assert_eq!(out.status.code(), Some(0), "validate: {out:?}");
@@ -235,17 +229,16 @@ fn sigkilled_child_campaign_resumes_byte_identically() {
 fn injected_panic_exits_with_the_cell_failures_code() {
     let dir = scratch("panic-code");
     let (clean, broken) = (dir.join("clean"), dir.join("broken"));
-    let out = bench_cmd(
+    let out = chaos_cmd(
         "cells=3,sleep_ms=1",
-        &["chaos", "--jobs", "1", "--json", clean.to_str().unwrap()],
+        &["--jobs", "1", "--json", clean.to_str().unwrap()],
     )
     .output()
     .expect("child runs");
     assert!(out.status.success(), "clean run: {out:?}");
-    let out = bench_cmd(
+    let out = chaos_cmd(
         "cells=3,sleep_ms=1,panic=1",
         &[
-            "chaos",
             "--jobs",
             "1",
             "--retries",
@@ -285,9 +278,9 @@ fn injected_panic_exits_with_the_cell_failures_code() {
 
 #[test]
 fn strict_mode_exits_with_the_cell_failures_code() {
-    let out = bench_cmd(
+    let out = chaos_cmd(
         "cells=3,sleep_ms=1,panic=1",
-        &["chaos", "--jobs", "1", "--retries", "0", "--strict"],
+        &["--jobs", "1", "--retries", "0", "--strict"],
     )
     .output()
     .expect("child runs");
@@ -302,17 +295,9 @@ fn strict_mode_exits_with_the_cell_failures_code() {
 fn hung_cell_is_quarantined_by_the_cooperative_deadline() {
     // The `coop` cell spins on deadline checkpoints forever; a short
     // --cell-timeout must classify it as a timeout, not hang the run.
-    let out = bench_cmd(
+    let out = chaos_cmd(
         "cells=3,sleep_ms=1,coop=2",
-        &[
-            "chaos",
-            "--jobs",
-            "1",
-            "--retries",
-            "0",
-            "--cell-timeout",
-            "0.2",
-        ],
+        &["--jobs", "1", "--retries", "0", "--cell-timeout", "0.2"],
     )
     .output()
     .expect("child runs");

@@ -91,6 +91,8 @@ fn cheap_scenarios_match_committed_goldens() {
         "related_cvms",
         "design_space",
         "scaling_banks",
+        // The STREAM bandwidths EXPERIMENTS.md quotes.
+        "stream",
         // The generation sweep doubles as the SDR-equivalence proof:
         // its first block runs the sdr100 preset through the same
         // fig-7 kernels, so a preset drifting from the legacy default

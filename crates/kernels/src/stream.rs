@@ -4,10 +4,11 @@
 //! "McCalpin's STREAM benchmark" (23% latency / 7% bandwidth
 //! improvements). STREAM's four kernels — Copy, Scale, Sum (Add) and
 //! Triad — are unit-stride by construction; on the PVA they run at the
-//! line-fill rate, and this module reports the sustained bandwidth the
-//! simulated memory system achieves on them, in bytes per cycle (scale
-//! by the clock to get MB/s; the prototype's 100 MHz gives
-//! `bytes/cycle x 100e6 / 1e6` MB/s).
+//! line-fill rate, and this module reports the bytes each kernel moves
+//! and the cycles the simulated memory system takes to move them; their
+//! ratio is the sustained bandwidth in bytes per cycle (scale by the
+//! clock to get MB/s: the `stream` scenario of `pva-bench` reports it at
+//! the prototype's 100 MHz).
 
 use memsys::{MemorySystem, TraceOp};
 use pva_core::Vector;
@@ -98,12 +99,17 @@ impl StreamKernel {
         out
     }
 
-    /// Sustained bandwidth of `system` on this kernel, in bytes per
-    /// cycle (4-byte words, STREAM byte counting).
-    pub fn bandwidth(&self, system: &mut dyn MemorySystem, elements: u64) -> f64 {
-        let trace = self.trace(elements, 32, 1 << 22);
-        let cycles = system.run_trace(&trace).cycles;
-        (elements * self.words_per_element() * 4) as f64 / cycles as f64
+    /// Bytes this kernel moves over `elements` elements (4-byte words,
+    /// STREAM byte counting).
+    pub const fn bytes(&self, elements: u64) -> u64 {
+        elements * self.words_per_element() * 4
+    }
+
+    /// Cycles `system` takes to run this kernel over `elements`
+    /// elements with 32-word commands; [`Self::bytes`] over this is
+    /// the sustained bandwidth in bytes per cycle.
+    pub fn cycles(&self, system: &mut dyn MemorySystem, elements: u64) -> u64 {
+        system.run_trace(&self.trace(elements, 32, 1 << 22)).cycles
     }
 }
 
@@ -119,6 +125,11 @@ mod tests {
     use memsys::PvaSystem;
     use pva_sim::OpKind;
 
+    /// Sustained bytes per cycle of the PVA-SDRAM system on `k`.
+    fn pva_bandwidth(k: StreamKernel, elements: u64) -> f64 {
+        k.bytes(elements) as f64 / k.cycles(&mut PvaSystem::sdram(), elements) as f64
+    }
+
     #[test]
     fn traces_have_stream_shapes() {
         for k in StreamKernel::ALL {
@@ -133,9 +144,8 @@ mod tests {
 
     #[test]
     fn triad_moves_more_bytes_than_copy() {
-        let mut sys = PvaSystem::sdram();
-        let copy = StreamKernel::Copy.bandwidth(&mut sys, 1024);
-        let triad = StreamKernel::Triad.bandwidth(&mut sys, 1024);
+        let copy = pva_bandwidth(StreamKernel::Copy, 1024);
+        let triad = pva_bandwidth(StreamKernel::Triad, 1024);
         assert!(copy > 0.0 && triad > 0.0);
         // Both are bus-bound at ~8 bytes/cycle on the 64-bit bus.
         assert!(copy <= 8.5 && triad <= 8.5);
@@ -145,9 +155,8 @@ mod tests {
     fn pva_sustains_near_bus_bandwidth_on_stream() {
         // Unit-stride STREAM is the best case: the PVA should sustain
         // >80% of the 8-bytes/cycle bus limit.
-        let mut sys = PvaSystem::sdram();
         for k in StreamKernel::ALL {
-            let bw = k.bandwidth(&mut sys, 2048);
+            let bw = pva_bandwidth(k, 2048);
             assert!(bw > 6.4, "{k}: {bw:.2} B/cycle");
         }
     }

@@ -54,7 +54,6 @@ mod paging;
 mod pla;
 mod recursive;
 mod rng;
-mod scheduling;
 mod vector;
 
 pub use bitrev::{bit_reverse, BitReversedVector};
@@ -71,7 +70,6 @@ pub use paging::{
     exact_elements_on_page, split_vector, MmcTlb, PhysicalSubvector, Superpage, Translation,
 };
 pub use pla::{scaling_sweep, FullKiPla, K1Entry, K1Pla, PlaComplexity};
-pub use recursive::{first_hit_exact, gcd, next_hit_exact, next_hit_paper, OpCount};
+pub use recursive::{gcd, next_hit_exact, next_hit_paper, OpCount};
 pub use rng::SplitMix64;
-pub use scheduling::{edf_schedule, feasible_by_enumeration, Placement, Task};
 pub use vector::{Addresses, Chunks, Vector};

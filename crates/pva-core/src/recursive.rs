@@ -15,13 +15,10 @@
 //! implementation").
 //!
 //! This module ports the paper's `NextHit()` C routine verbatim
-//! ([`next_hit_paper`]), provides an exact reference solver
-//! ([`next_hit_exact`], [`first_hit_exact`]), and *counts the expensive
-//! operations* so the hardware-cost argument can be reproduced
-//! quantitatively (see the `table1_complexity` bench target).
-
-use crate::geometry::{BankId, Geometry};
-use crate::vector::Vector;
+//! ([`next_hit_paper`]), provides the exact solver it is checked
+//! against ([`next_hit_exact`]), and *counts the expensive operations*
+//! so the hardware-cost argument can be checked quantitatively (the
+//! tests below count the hard divisions odd strides need).
 
 /// Tally of operations a hardware implementation would find expensive.
 ///
@@ -146,21 +143,6 @@ pub fn next_hit_exact(theta: u64, stride: u64, n_words: u64, nm: u64) -> Option<
     None
 }
 
-/// Exact `FirstHit(V, b)` for any interleave by solving inequality (1)
-/// with `gamma = theta - d*N` over one period of the bank pattern.
-///
-/// Used as a second oracle for [`crate::logical::LogicalView`]; the
-/// production path is the logical-bank transformation, which needs no
-/// division at all.
-pub fn first_hit_exact(v: &Vector, b: BankId, g: &Geometry) -> Option<u64> {
-    let nm = g.period();
-    let period = nm / gcd(v.stride() % nm, nm).max(1);
-    // The bank pattern of element i repeats with period `period` (in i);
-    // within the vector only indices < L matter.
-    let limit = period.min(v.length());
-    (0..limit).find(|&i| g.decode_bank(v.element(i)) == b)
-}
-
 /// Greatest common divisor (Euclid).
 pub fn gcd(a: u64, b: u64) -> u64 {
     let (mut a, mut b) = (a, b);
@@ -175,7 +157,6 @@ pub fn gcd(a: u64, b: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::firsthit::naive;
 
     #[test]
     fn gcd_basics() {
@@ -242,24 +223,6 @@ mod tests {
         // Power-of-two strides stay cheap.
         let (_, ops) = next_hit_paper(0, 8, 4, 32);
         assert_eq!(ops.hard_divs, 0, "stride 8 needs shifts only");
-    }
-
-    #[test]
-    fn first_hit_exact_matches_naive() {
-        let g = Geometry::cacheline_interleaved(8, 4).unwrap();
-        for base in 0..16u64 {
-            for stride in 1..=40u64 {
-                let v = Vector::new(base, stride, 24).unwrap();
-                for b in 0..8 {
-                    let b = BankId::new(b);
-                    assert_eq!(
-                        first_hit_exact(&v, b, &g),
-                        naive::first_hit(&v, b, &g).index(),
-                        "base={base} stride={stride} bank={b}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

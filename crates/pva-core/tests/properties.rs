@@ -248,57 +248,3 @@ fn chunks_preserve_addresses() {
         assert_eq!(flat, v.addresses().collect::<Vec<_>>());
     }
 }
-
-/// Randomized EDF properties (§3.4.3 scheduling module).
-mod edf {
-    use pva_core::{edf_schedule, feasible_by_enumeration, SplitMix64, Task};
-
-    fn task(r: &mut SplitMix64) -> Task {
-        let release = r.below(20);
-        let exec = r.range(1, 6);
-        let slack = r.below(30);
-        Task {
-            release,
-            exec,
-            deadline: release + exec + slack,
-        }
-    }
-
-    fn tasks(r: &mut SplitMix64, max: u64) -> Vec<Task> {
-        let n = r.below(max);
-        (0..n).map(|_| task(r)).collect()
-    }
-
-    /// Any schedule EDF produces is feasible and deadline-ordered.
-    #[test]
-    fn edf_schedules_are_feasible() {
-        let mut r = SplitMix64::new(0x430c);
-        for _ in 0..64 {
-            let tasks = tasks(&mut r, 7);
-            if let Some(s) = edf_schedule(&tasks) {
-                assert_eq!(s.len(), tasks.len());
-                let mut cursor = 0u64;
-                for p in &s {
-                    assert!(p.feasible(), "{p:?}");
-                    assert!(p.start >= cursor, "no overlap");
-                    cursor = p.finish();
-                }
-                for w in s.windows(2) {
-                    assert!(w[0].task.deadline <= w[1].task.deadline);
-                }
-            }
-        }
-    }
-
-    /// If no permutation is feasible, EDF must not claim one.
-    #[test]
-    fn edf_never_fabricates() {
-        let mut r = SplitMix64::new(0x430d);
-        for _ in 0..64 {
-            let tasks = tasks(&mut r, 6);
-            if !feasible_by_enumeration(&tasks) {
-                assert!(edf_schedule(&tasks).is_none());
-            }
-        }
-    }
-}
