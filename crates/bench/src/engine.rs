@@ -10,12 +10,12 @@
 //! side channel.
 //!
 //! Execution is resilient (see [`crate::resilient`]): each cell runs
-//! under `catch_unwind` with an optional wall-clock deadline and
-//! bounded retries, failures are quarantined into the record's
-//! `failures` section instead of aborting siblings, and — when a
-//! journal path is configured — every completion is checkpointed to a
-//! write-ahead JSONL journal ([`crate::journal`]) so a killed run
-//! resumes where it left off with identical final output.
+//! once under `catch_unwind`, with an optional wall-clock timeout; a
+//! failed cell is quarantined into the record's `failures` section
+//! instead of aborting its siblings, and — when a journal path is
+//! configured — every completion is checkpointed to a write-ahead JSONL
+//! journal ([`crate::journal`]) so a killed run resumes where it left
+//! off with identical final output.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -82,8 +82,9 @@ impl CellData {
 /// The work closure of a cell.
 pub type Work = Box<dyn FnOnce() -> CellData + Send>;
 
-/// Produces a scenario's cell grid; called again to rebuild a cell for
-/// a retry, so it must return the same grid every time.
+/// Produces a scenario's cell grid. It must return the same grid every
+/// time: `--resume` matches journaled cells to it by index, system and
+/// label.
 pub type Build = Box<dyn Fn() -> Vec<CellSpec> + Send + Sync>;
 
 /// Renders a scenario's cell results (in build order) into its report
@@ -180,7 +181,7 @@ pub struct RunRecord {
     /// Number of cells restored from a checkpoint journal rather than
     /// simulated in this process.
     pub resumed: u64,
-    /// Cells quarantined after exhausting retries, in grid order.
+    /// Cells quarantined after a failed run, in grid order.
     pub failures: Vec<CellFailure>,
 }
 
@@ -208,7 +209,6 @@ impl RunRecord {
                     ("system".into(), Value::Str(f.system.clone())),
                     ("label".into(), Value::Str(f.label.clone())),
                     ("kind".into(), Value::Str(f.kind.as_str().into())),
-                    ("attempts".into(), Value::Num(f.attempts as f64)),
                     ("message".into(), Value::Str(f.message.clone())),
                 ])
             })
@@ -307,7 +307,6 @@ impl RunRecord {
                             .to_string(),
                         kind: FailureKind::parse(kind_str)
                             .ok_or_else(|| format!("unknown failure kind '{kind_str}'"))?,
-                        attempts: u64_field(f, "attempts")? as u32,
                         message: f
                             .get("message")
                             .and_then(Value::as_str)
@@ -392,7 +391,7 @@ pub struct ScenarioReport {
 pub struct ExecConfig {
     /// Worker threads.
     pub jobs: usize,
-    /// Isolation / retry / deadline policy.
+    /// Isolation and timeout policy.
     pub policy: ExecPolicy,
     /// Write-ahead journal path; `None` disables checkpointing.
     pub journal: Option<PathBuf>,
@@ -420,7 +419,7 @@ pub enum EngineError {
     /// The environment failed the run: unreadable or mismatched
     /// journal, journal write error.
     Environment(String),
-    /// A cell exhausted its retries while `strict` was set.
+    /// A cell failed while `strict` was set.
     StrictFailure(String),
 }
 
@@ -440,7 +439,7 @@ pub struct EngineRun {
     pub reports: Vec<ScenarioReport>,
     /// Cells restored from the journal instead of simulated.
     pub resumed_cells: usize,
-    /// Cells quarantined after exhausting retries (sum over scenarios).
+    /// Cells quarantined after a failed run (sum over scenarios).
     pub failed_cells: usize,
 }
 
@@ -459,16 +458,16 @@ fn failure_text(name: &str, failures: &[CellFailure]) -> String {
     );
     for f in failures {
         out.push_str(&format!(
-            "  [{}] {} {} after {} attempt(s): {}\n",
-            f.kind, f.system, f.label, f.attempts, f.message
+            "  [{}] {} {}: {}\n",
+            f.kind, f.system, f.label, f.message
         ));
     }
     out
 }
 
 /// A not-yet-executed cell on the pool's deques:
-/// `(global submission index, scenario index, cell index, work)`.
-type PendingCell = (usize, usize, usize, Work);
+/// `(global submission index, work)`.
+type PendingCell = (usize, Work);
 
 /// Runs a batch of scenarios under a full [`ExecConfig`], fanning every
 /// cell of every scenario across `jobs` workers: resilient per-cell
@@ -551,7 +550,7 @@ pub fn run_scenarios_checked(
                 None => {
                     slots.push(None);
                     replayed.push(false);
-                    pending.push((global, si, ci, cell.work));
+                    pending.push((global, cell.work));
                 }
             }
             meta.push((si, ci, cell.system, cell.label));
@@ -582,7 +581,7 @@ pub fn run_scenarios_checked(
             queues[i % workers].lock().unwrap().push_back(job);
         }
         let abort = AtomicBool::new(false);
-        type CellResult = Result<(CellData, u64), (resilient::AttemptError, u32)>;
+        type CellResult = Result<(CellData, u64), resilient::AttemptError>;
         let (tx, rx) = mpsc::channel::<(usize, CellResult)>();
         std::thread::scope(|scope| {
             let queues = &queues;
@@ -600,11 +599,8 @@ pub fn run_scenarios_checked(
                             .find_map(|d| queues[(wi + d) % workers].lock().unwrap().pop_back())
                     });
                     match job {
-                        Some((global, si, ci, work)) => {
-                            let s = scenarios[si];
-                            let build = &s.build;
-                            let rebuild = move || build().into_iter().nth(ci).map(|c| c.work);
-                            let result = resilient::run_cell(work, rebuild, policy, s.name, ci);
+                        Some((global, work)) => {
+                            let result = resilient::attempt_once(work, policy);
                             // The collector drains inside this scope;
                             // send cannot fail.
                             tx.send((global, result)).expect("collector alive");
@@ -630,22 +626,21 @@ pub fn run_scenarios_checked(
                         }
                         slots[global] = Some(Slot::Done(data, wall_ns));
                     }
-                    Err((err, attempts)) => {
+                    Err(err) => {
                         let failure = CellFailure {
                             system: system.clone(),
                             label: label.clone(),
                             kind: err.kind,
-                            attempts,
                             message: err.message,
                         };
                         if cfg.policy.strict {
                             // Fail fast; deliberately NOT journaled, so
-                            // a later --resume retries the cell instead
+                            // a later --resume runs the cell again instead
                             // of replaying the failure forever.
                             abort.store(true, Ordering::Relaxed);
                             strict_failure.get_or_insert(format!(
-                                "cell {}/{} failed after {} attempt(s): {}",
-                                failure.system, failure.label, attempts, failure.message
+                                "cell {}/{} failed: {}",
+                                failure.system, failure.label, failure.message
                             ));
                         } else if let Some(j) = writer.as_mut() {
                             if let Err(e) = j.record_failure(name, *ci, &failure) {
@@ -747,7 +742,8 @@ pub fn run_scenarios_checked(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+    use std::sync::atomic::AtomicU32;
+    use std::sync::Arc;
 
     fn tiny_scenario() -> Scenario {
         Scenario {
@@ -839,8 +835,7 @@ mod tests {
         rec.failures.push(CellFailure {
             system: "sys".into(),
             label: "cell3".into(),
-            kind: FailureKind::WatchdogTrip,
-            attempts: 3,
+            kind: FailureKind::Timeout,
             message: "no response".into(),
         });
         rec.resumed = 5;
@@ -907,22 +902,14 @@ mod tests {
     fn quarantine_preserves_siblings_and_grid_order() {
         let bad = panicky_scenario();
         let good = tiny_scenario();
-        let cfg = ExecConfig {
-            policy: ExecPolicy {
-                retries: 1,
-                backoff_base: Duration::from_millis(1),
-                ..ExecPolicy::default()
-            },
-            ..ExecConfig::with_jobs(4)
-        };
-        let run = run_scenarios_checked(&[&bad, &good], &cfg).expect("quarantine, not error");
+        let run = run_scenarios_checked(&[&bad, &good], &ExecConfig::with_jobs(4))
+            .expect("quarantine, not error");
         assert_eq!(run.failed_cells, 1);
         let r = &run.reports[0];
         assert_eq!(r.record.failures.len(), 1);
         let f = &r.record.failures[0];
         assert_eq!(f.label, "cell2");
         assert_eq!(f.kind, FailureKind::Panic);
-        assert_eq!(f.attempts, 2);
         assert_eq!(f.message, "cell 2 is broken");
         // Sibling cells of the same scenario still ran...
         assert_eq!(r.record.cells.len(), 5);
@@ -936,12 +923,37 @@ mod tests {
     }
 
     #[test]
+    fn failing_cell_is_attempted_once() {
+        // A cell is deterministic, so the engine never runs it again:
+        // one panic, one quarantine.
+        let runs = Arc::new(AtomicU32::new(0));
+        let counter = Arc::clone(&runs);
+        let s = Scenario {
+            build: Box::new(move || {
+                let counter = Arc::clone(&counter);
+                vec![CellSpec::new("sys", "cell0", move || {
+                    counter.fetch_add(1, Ordering::SeqCst);
+                    panic!("always")
+                })]
+            }),
+            ..panicky_scenario()
+        };
+        let run = run_scenarios_checked(&[&s], &ExecConfig::with_jobs(1)).expect("quarantine");
+        assert_eq!(run.failed_cells, 1);
+        assert_eq!(runs.load(Ordering::SeqCst), 1);
+        assert!(
+            run.reports[0].text.contains("[panic] sys cell0: always"),
+            "{}",
+            run.reports[0].text
+        );
+    }
+
+    #[test]
     fn strict_mode_fails_fast_with_the_cell_identity() {
         let bad = panicky_scenario();
         let cfg = ExecConfig {
             policy: ExecPolicy {
                 strict: true,
-                retries: 0,
                 ..ExecPolicy::default()
             },
             ..ExecConfig::with_jobs(2)

@@ -220,10 +220,7 @@ pub fn run_cell(
 
     // Ops run one at a time so each gathered line is checked before the
     // next op, and so a hang is attributed to the op that caused it.
-    // The per-op deadline checkpoint keeps campaign cells cooperative
-    // when the caller armed a wall-clock budget.
     for op in ops {
-        memsys::deadline::checkpoint();
         if let HostRequest::Write { vector, data } = &op {
             for (a, &d) in vector.addresses().zip(data.iter()) {
                 golden.insert(a, d);

@@ -150,7 +150,6 @@ impl Journal {
             ("system".into(), Value::Str(failure.system.clone())),
             ("label".into(), Value::Str(failure.label.clone())),
             ("kind".into(), Value::Str(failure.kind.as_str().into())),
-            ("attempts".into(), Value::Num(failure.attempts as f64)),
             ("message".into(), Value::Str(failure.message.clone())),
         ]);
         Journal::write_line(&mut self.file, &v)
@@ -275,7 +274,6 @@ pub fn load(path: &Path) -> Result<Option<Replay>, String> {
                     label: str_field(&v, "label").map_err(&at)?,
                     kind: FailureKind::parse(&kind_str)
                         .ok_or_else(|| at(format!("unknown failure kind '{kind_str}'")))?,
-                    attempts: u64_field(&v, "attempts").map_err(&at)? as u32,
                     message: str_field(&v, "message").map_err(&at)?,
                 };
                 replay.failures.insert(key, failure);
@@ -313,7 +311,6 @@ mod tests {
             system: "pva-sram".into(),
             label: "scale/s2".into(),
             kind: FailureKind::Timeout,
-            attempts: 3,
             message: "cell exceeded its 0.100s wall-clock budget".into(),
         };
         j.record_failure("beta", 4, &failure).unwrap();

@@ -9,8 +9,7 @@
 //! pva-bench validate FILE...
 //! pva-bench diff A.json B.json
 //!
-//! EXEC FLAGS: [--journal PATH] [--resume] [--cell-timeout SECS]
-//!             [--retries N] [--strict]
+//! EXEC FLAGS: [--journal PATH] [--resume] [--cell-timeout SECS] [--strict]
 //! ```
 //!
 //! `--device` narrows device-parameterized scenarios (currently the
@@ -32,10 +31,12 @@
 //!
 //! Execution is resilient: `--journal` checkpoints every completed cell
 //! to a write-ahead JSONL file so a killed run continues with
-//! `--resume`; `--cell-timeout` bounds each cell's wall clock (0
-//! disables); failing cells retry up to `--retries` times and are then
-//! quarantined into the record's `failures` section — or abort the run
-//! under `--strict`. `validate` checks `BENCH_*.json` records *and*
+//! `--resume`; `--cell-timeout` bounds each cell's wall clock (default
+//! 120 s, 0 disables) with a watchdog that abandons a cell still
+//! running when its budget ends. Each cell runs once: its simulations
+//! are deterministic, so a rerun would fail the same way. A failed cell
+//! is quarantined into the record's `failures` section — or aborts the
+//! run under `--strict`. `validate` checks `BENCH_*.json` records *and*
 //! journal files; `diff` compares two records canonically (ignoring
 //! wall-clock fields).
 //!
@@ -113,8 +114,9 @@ fn usage() -> ! {
          \x20                    [EXEC FLAGS]\n\
          \x20      pva-bench validate FILE...\n\
          \x20      pva-bench diff A.json B.json\n\
-         EXEC FLAGS: [--journal PATH] [--resume] [--cell-timeout SECS]\n\
-         \x20           [--retries N] [--strict]\n\
+         EXEC FLAGS: [--journal PATH] [--resume] [--cell-timeout SECS] [--strict]\n\
+         \x20           each cell runs once; --cell-timeout (default 120, 0 disables)\n\
+         \x20           quarantines a cell still running after SECS seconds\n\
          exit codes: 0 ok, 1 error, 2 usage, 3 verify/diff mismatch,\n\
          \x20           4 schema-invalid, 5 cell failures\n\
          run `pva-bench list` for scenario names; --device takes one of: {}",
@@ -142,9 +144,8 @@ struct Options {
     device: Option<DevicePreset>,
     journal: Option<String>,
     resume: bool,
-    /// Per-cell wall-clock budget in seconds; 0 disables.
-    cell_timeout: f64,
-    retries: u32,
+    /// Per-cell wall-clock budget; `None` disables the watchdog.
+    cell_timeout: Option<Duration>,
     strict: bool,
 }
 
@@ -159,8 +160,7 @@ fn parse_options(args: &[String]) -> Options {
         device: None,
         journal: None,
         resume: false,
-        cell_timeout: 120.0,
-        retries: 2,
+        cell_timeout: Some(Duration::from_secs(120)),
         strict: false,
     };
     let mut it = args.iter();
@@ -208,20 +208,14 @@ fn parse_options(args: &[String]) -> Options {
             "--journal" => o.journal = Some(value("--journal")),
             "--resume" => o.resume = true,
             "--cell-timeout" => {
-                o.cell_timeout = value("--cell-timeout").parse().unwrap_or_else(|_| {
+                let secs: f64 = value("--cell-timeout").parse().unwrap_or(f64::NAN);
+                // Rejects negative, non-finite and unrepresentably large
+                // values alike.
+                let Ok(limit) = Duration::try_from_secs_f64(secs) else {
                     eprintln!("--cell-timeout takes seconds (0 disables)");
                     std::process::exit(EXIT_USAGE as i32);
-                });
-                if !o.cell_timeout.is_finite() || o.cell_timeout < 0.0 {
-                    eprintln!("--cell-timeout takes seconds (0 disables)");
-                    std::process::exit(EXIT_USAGE as i32);
-                }
-            }
-            "--retries" => {
-                o.retries = value("--retries").parse().unwrap_or_else(|_| {
-                    eprintln!("--retries takes a non-negative integer");
-                    std::process::exit(EXIT_USAGE as i32);
-                })
+                };
+                o.cell_timeout = (secs != 0.0).then_some(limit);
             }
             "--strict" => o.strict = true,
             _ => usage(),
@@ -238,10 +232,8 @@ fn exec_config(o: &Options) -> ExecConfig {
     ExecConfig {
         jobs: o.jobs,
         policy: ExecPolicy {
-            cell_timeout: (o.cell_timeout > 0.0).then(|| Duration::from_secs_f64(o.cell_timeout)),
-            retries: o.retries,
+            cell_timeout: o.cell_timeout,
             strict: o.strict,
-            ..ExecPolicy::default()
         },
         journal: o.journal.as_ref().map(PathBuf::from),
         resume: o.resume,
@@ -337,8 +329,8 @@ fn report_failures(reports: &[ScenarioReport]) -> usize {
         for f in &r.record.failures {
             n += 1;
             eprintln!(
-                "cell FAILED: {}: [{}] {} {} after {} attempt(s): {}",
-                r.name, f.kind, f.system, f.label, f.attempts, f.message
+                "cell FAILED: {}: [{}] {} {}: {}",
+                r.name, f.kind, f.system, f.label, f.message
             );
         }
     }

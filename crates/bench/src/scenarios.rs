@@ -93,7 +93,6 @@ struct ChaosSpec {
     cells: usize,
     sleep_ms: u64,
     panic: Vec<usize>,
-    coop: Vec<usize>,
     hang: Vec<usize>,
 }
 
@@ -103,7 +102,6 @@ impl Default for ChaosSpec {
             cells: 8,
             sleep_ms: 50,
             panic: Vec::new(),
-            coop: Vec::new(),
             hang: Vec::new(),
         }
     }
@@ -112,12 +110,10 @@ impl Default for ChaosSpec {
 impl ChaosSpec {
     /// Parses a comma-separated list: `cells=N` (grid size, default 8),
     /// `sleep_ms=M` (per-cell work, default 50), and any number of
-    /// `panic=I` / `coop=I` / `hang=I` entries marking cell `I` as
-    /// always-panicking, cooperatively hanging (spins on
-    /// [`memsys::deadline::checkpoint`], so a `--cell-timeout`
-    /// classifies it as a timeout), or hard-hanging (sleeps for an hour
-    /// without checkpoints, tripping the watchdog). `None` on an
-    /// unknown key or a value that is not a number.
+    /// `panic=I` / `hang=I` entries marking cell `I` as always-panicking
+    /// or hanging (sleeps for an hour, so a `--cell-timeout` classifies
+    /// it as a timeout). `None` on an unknown key or a value that is not
+    /// a number.
     fn parse(spec: &str) -> Option<Self> {
         let mut out = ChaosSpec::default();
         for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
@@ -127,7 +123,6 @@ impl ChaosSpec {
                 "cells" => out.cells = n as usize,
                 "sleep_ms" => out.sleep_ms = n,
                 "panic" => out.panic.push(n as usize),
-                "coop" => out.coop.push(n as usize),
                 "hang" => out.hang.push(n as usize),
                 _ => return None,
             }
@@ -140,25 +135,13 @@ fn chaos_cells(spec: &ChaosSpec) -> Vec<CellSpec> {
     let sleep_ms = spec.sleep_ms;
     (0..spec.cells)
         .map(|i| {
-            let (panic_me, coop_me, hang_me) = (
-                spec.panic.contains(&i),
-                spec.coop.contains(&i),
-                spec.hang.contains(&i),
-            );
+            let (panic_me, hang_me) = (spec.panic.contains(&i), spec.hang.contains(&i));
             CellSpec::new("chaos", format!("cell{i:02}"), move || {
                 if panic_me {
                     panic!("chaos: injected panic in cell {i}");
                 }
-                if coop_me {
-                    // Hangs forever, but politely: a --cell-timeout
-                    // converts this into a structured Timeout.
-                    loop {
-                        memsys::deadline::checkpoint();
-                        std::thread::sleep(std::time::Duration::from_millis(2));
-                    }
-                }
                 if hang_me {
-                    // Never checkpoints; only the watchdog can reclaim it.
+                    // Only the --cell-timeout watchdog can reclaim it.
                     std::thread::sleep(std::time::Duration::from_secs(3600));
                 }
                 std::thread::sleep(std::time::Duration::from_millis(sleep_ms));
@@ -2245,7 +2228,12 @@ mod tests {
         let spec = find("chaos:cells=3,panic=1", None).expect("resolvable with a spec");
         assert_eq!(spec.name, "chaos");
         assert_eq!((spec.build)().len(), 3, "the spec sizes the grid");
-        for bad in ["chaos:cells=x", "chaos:panic", "chaos:cels=3"] {
+        for bad in [
+            "chaos:cells=x",
+            "chaos:panic",
+            "chaos:cels=3",
+            "chaos:coop=1",
+        ] {
             assert!(find(bad, None).is_none(), "{bad} must not resolve");
         }
         assert!(

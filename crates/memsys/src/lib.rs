@@ -19,15 +19,21 @@
 //! for them (they are *idealized* comparators in the paper too — the
 //! gate-level simulation was only of the PVA).
 //!
-//! Systems are assembled through the [`SystemRegistry`] builder and
-//! each trace run reports a structured [`RunOutcome`]:
+//! Each system is built from its own constructor and each trace run
+//! reports a structured [`RunOutcome`]:
 //!
 //! ```
-//! use memsys::{MemorySystem, SystemRegistry, TraceOp};
+//! use memsys::{CachelineSerial, MemorySystem, PvaSystem, SerialGather, TraceOp};
 //! use pva_core::Vector;
 //!
 //! let trace = [TraceOp::read(Vector::new(0, 16, 32)?)];
-//! for mut sys in SystemRegistry::with_defaults().build() {
+//! let systems: [Box<dyn MemorySystem>; 4] = [
+//!     Box::new(PvaSystem::sdram()),
+//!     Box::new(PvaSystem::sram()),
+//!     Box::new(CachelineSerial::default()),
+//!     Box::new(SerialGather::default()),
+//! ];
+//! for mut sys in systems {
 //!     let out = sys.run_trace(&trace);
 //!     assert!(out.cycles > 0, "{} must take time", sys.name());
 //!     assert!(out.bytes_transferred >= 32 * 4, "words must move");
@@ -39,17 +45,13 @@
 #![warn(missing_docs)]
 
 mod cacheline;
-pub mod deadline;
 mod pva_systems;
-mod registry;
 mod serial_gather;
 mod smc;
 mod trace;
 
 pub use cacheline::{CachelineConfig, CachelineSerial};
-pub use deadline::DeadlineExceeded;
 pub use pva_systems::PvaSystem;
-pub use registry::SystemRegistry;
 pub use serial_gather::{SerialGather, SerialGatherConfig};
 pub use smc::SmcLike;
 pub use trace::{MemorySystem, RunOutcome, RunStats, TraceOp, WORD_BYTES};
@@ -63,9 +65,20 @@ mod tests {
     use super::*;
     use pva_core::Vector;
 
+    /// The four §6.1 systems plus the related-work SMC comparator.
+    fn all_systems() -> Vec<Box<dyn MemorySystem>> {
+        vec![
+            Box::new(PvaSystem::sdram()),
+            Box::new(PvaSystem::sram()),
+            Box::new(CachelineSerial::default()),
+            Box::new(SerialGather::default()),
+            Box::new(SmcLike::default()),
+        ]
+    }
+
     #[test]
     fn default_registry_has_distinct_names() {
-        let systems = SystemRegistry::with_defaults().build();
+        let systems = all_systems();
         let names: Vec<&str> = systems.iter().map(|s| s.name()).collect();
         let mut unique = names.clone();
         unique.sort_unstable();
@@ -74,14 +87,22 @@ mod tests {
     }
 
     #[test]
+    fn configs_are_injected_not_cloned_defaults() {
+        let cfg = CachelineConfig {
+            burst: 32,
+            ..CachelineConfig::default()
+        };
+        let t = [TraceOp::read(Vector::new(0, 1, 32).unwrap())];
+        // 2 + 2 + 32 = 36 cycles per fill instead of the default 20.
+        assert_eq!(CachelineSerial::new(cfg).run_trace(&t).cycles, 36);
+    }
+
+    #[test]
     fn reset_then_rerun_is_identical() {
         let trace: Vec<TraceOp> = (0..4)
             .map(|i| TraceOp::read(Vector::new(i * 512, 16, 32).unwrap()))
             .collect();
-        for mut sys in SystemRegistry::with_defaults()
-            .smc(SmcLike::default())
-            .build()
-        {
+        for mut sys in all_systems() {
             let first = sys.run_trace(&trace);
             sys.reset();
             let second = sys.run_trace(&trace);

@@ -113,28 +113,9 @@ impl MemorySystem for PvaSystem {
             };
             unit.submit(request).expect("trace ops fit the line length");
         }
-        let complete = if crate::deadline::active() {
-            // A wall-clock deadline is armed on this thread (bench cell
-            // timeout): run in bounded slices so a long simulation hits
-            // a cooperative checkpoint within milliseconds instead of
-            // only at the end. Each slice resumes from `unit.now()`, so
-            // slicing never re-simulates and the result is identical to
-            // one unbounded call.
-            const SLICE: u64 = 8192;
-            loop {
-                crate::deadline::checkpoint();
-                let cap = unit.now().saturating_add(SLICE).min(deadline);
-                let idle = unit
-                    .run_until(cap)
-                    .expect("no watchdog trip inside the budget");
-                if idle || cap >= deadline {
-                    break idle;
-                }
-            }
-        } else {
-            unit.run_until(deadline)
-                .expect("no watchdog trip inside the budget")
-        };
+        let complete = unit
+            .run_until(deadline)
+            .expect("no watchdog trip inside the budget");
         self.events = *unit.event_stats();
         // Elements from the bank controllers (includes retried reads —
         // those words crossed the pins too); row traffic from the

@@ -170,7 +170,7 @@ impl MemorySystem for SmcLike {
             // Advance time.
             for dev in &mut devices {
                 dev.tick();
-                dev.take_ready_data();
+                while dev.pop_ready().is_some() {}
             }
             cycles += 1;
             assert!(cycles < max_cycles, "SMC model livelock");

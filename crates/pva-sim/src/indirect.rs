@@ -109,7 +109,7 @@ pub fn run_indirect_gather(
         while dev.has_in_flight() {
             dev.tick();
             cycles += 1;
-            for r in dev.take_ready_data() {
+            while let Some(r) = dev.pop_ready() {
                 data[r.tag as usize] = r.data;
             }
         }
@@ -125,99 +125,6 @@ pub fn run_indirect_gather(
         total_cycles: phase1_cycles + broadcast_cycles + phase2_cycles + stage_cycles,
         data,
     })
-}
-
-/// Runs an indirect *scatter*: the symmetric write operation — indices
-/// loaded (phase 1), broadcast, then each bank writes its claimed
-/// elements in parallel; data is staged to the banks first, like
-/// STAGE_WRITE.
-///
-/// Returns the timing breakdown; the written values are `data[i]` at
-/// address `iv.element(i)`, applied to a fresh device set whose final
-/// contents are returned as `(element_index, value)` pairs for
-/// verification.
-///
-/// # Errors
-///
-/// Propagates PVA unit errors from phase 1.
-///
-/// # Panics
-///
-/// Panics if `data.len() != iv.length()`.
-pub fn run_indirect_scatter(
-    config: PvaConfig,
-    iv: &IndirectVector,
-    index_base: u64,
-    data: &[u64],
-) -> Result<(IndirectTiming, Vec<(u64, u64)>), PvaError> {
-    assert_eq!(data.len() as u64, iv.length(), "one word per element");
-    let mut unit = PvaUnit::new(config)?;
-    let index_vec = Vector::unit_stride(index_base, iv.length())?;
-    let reads: Vec<HostRequest> = index_vec
-        .chunks(config.line_words)
-        .map(|v| HostRequest::Read { vector: v })
-        .collect();
-    let phase1_cycles = unit.run(reads)?.cycles;
-    // Data staging to the banks (STAGE_WRITE analogue) shares the
-    // broadcast path: 2 (address, data) pairs per cycle over the two
-    // bus halves -> one pair per cycle effective.
-    let broadcast_cycles = iv.length();
-
-    let g = config.geometry;
-    let mut written = Vec::new();
-    let mut phase2_cycles = 0u64;
-    for b in 0..g.banks() {
-        let bank = pva_core::BankId::new(b as usize);
-        let claims: Vec<u64> = iv.claim(bank, &g).collect();
-        if claims.is_empty() {
-            continue;
-        }
-        let mut dev = Sdram::new(config.sdram);
-        let mut cycles = 0u64;
-        for &elem in &claims {
-            let addr = iv.element(elem);
-            let local = g.bank_local_addr(addr);
-            let ia = config.sdram.map(local);
-            loop {
-                if dev.open_row(ia.bank) == Some(ia.row) {
-                    let cmd = SdramCmd::Write {
-                        bank: ia.bank,
-                        col: ia.col,
-                        data: data[elem as usize],
-                        auto_precharge: false,
-                    };
-                    if dev.issue(cmd).is_ok() {
-                        dev.tick();
-                        cycles += 1;
-                        break;
-                    }
-                } else if dev.open_row(ia.bank).is_some() {
-                    let _ = dev.issue(SdramCmd::Precharge { bank: ia.bank });
-                } else {
-                    let _ = dev.issue(SdramCmd::Activate {
-                        bank: ia.bank,
-                        row: ia.row,
-                    });
-                }
-                dev.tick();
-                cycles += 1;
-            }
-        }
-        for &elem in &claims {
-            let local = g.bank_local_addr(iv.element(elem));
-            written.push((elem, dev.peek(local)));
-        }
-        phase2_cycles = phase2_cycles.max(cycles);
-    }
-    let timing = IndirectTiming {
-        phase1_cycles,
-        broadcast_cycles,
-        phase2_cycles,
-        stage_cycles: 0,
-        total_cycles: phase1_cycles + broadcast_cycles + phase2_cycles,
-        data: Vec::new(),
-    };
-    Ok((timing, written))
 }
 
 #[cfg(test)]
@@ -254,22 +161,6 @@ mod tests {
             ts.phase2_cycles,
             tc.phase2_cycles
         );
-    }
-
-    #[test]
-    fn scatter_writes_every_element() {
-        let cfg = PvaConfig::default();
-        let offsets: Vec<u64> = (0..24).map(|i| i * 11 % 512).collect();
-        let iv = IndirectVector::new(0x800, offsets).unwrap();
-        let data: Vec<u64> = (0..24).map(|i| 0x5000 + i).collect();
-        let (t, written) = run_indirect_scatter(cfg, &iv, 0, &data).unwrap();
-        assert!(t.total_cycles > 0);
-        // Every claimed element carries its datum (offsets are unique
-        // here, so no WAW ambiguity).
-        assert_eq!(written.len(), 24);
-        for (elem, val) in written {
-            assert_eq!(val, data[elem as usize], "element {elem}");
-        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub use config::{
     default_precharge_policy, PvaConfig, PvaConfigError, RowPolicy, SchedulerOptions,
 };
 pub use cpu::{mixed_workload, CpuConfig, CpuModel, CpuRunResult};
-pub use indirect::{run_indirect_gather, run_indirect_scatter, IndirectTiming};
+pub use indirect::{run_indirect_gather, IndirectTiming};
 pub use sched::{EventStats, JUMP_BUCKETS};
 pub use trace_log::TraceEvent;
 pub use txn::{Transaction, TransactionTable, TxnPhase};

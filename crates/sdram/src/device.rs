@@ -305,9 +305,9 @@ impl Page {
 /// dev.issue(SdramCmd::Read { bank: 0, col: 7, auto_precharge: false, tag: 42 })?;
 /// dev.tick();
 /// dev.tick(); // CAS latency 2
-/// let data = dev.take_ready_data();
-/// assert_eq!(data.len(), 1);
-/// assert_eq!(data[0].tag, 42);
+/// let data = dev.pop_ready().expect("the read is on the pins");
+/// assert_eq!(data.tag, 42);
+/// assert!(dev.pop_ready().is_none());
 /// # Ok::<(), sdram::IssueError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -885,11 +885,6 @@ impl Sdram {
         self.issued_this_cycle
     }
 
-    /// The cycle the earliest in-flight read reaches the pins, if any.
-    pub fn next_data_at(&self) -> Option<u64> {
-        self.in_flight.front().map(|r| r.at_cycle)
-    }
-
     /// First cycle an ACTIVATE on internal bank `bank` is timing-legal
     /// (bank's tRP and tRC plus the channel's tRRD and tFAW all
     /// expired; may be in the past).
@@ -989,8 +984,8 @@ impl Sdram {
     }
 
     /// Removes and returns the earliest read whose data is on the pins
-    /// at or before the current cycle — the allocation-free form of
-    /// [`Sdram::take_ready_data`] for per-cycle hot paths.
+    /// at or before the current cycle; call it in a loop to drain every
+    /// ready read.
     pub fn pop_ready(&mut self) -> Option<ReadReturn> {
         match self.in_flight.front() {
             Some(front) if front.at_cycle <= self.now => self.in_flight.pop_front(),
@@ -1019,20 +1014,6 @@ impl Sdram {
     /// Whether an AUTO REFRESH is currently occupying the device.
     pub const fn refresh_in_progress(&self) -> bool {
         self.refresh_busy > 0
-    }
-
-    /// Removes and returns all reads whose data is on the pins at or
-    /// before the current cycle.
-    pub fn take_ready_data(&mut self) -> Vec<ReadReturn> {
-        let mut out = Vec::new();
-        while let Some(front) = self.in_flight.front() {
-            if front.at_cycle <= self.now {
-                out.push(self.in_flight.pop_front().expect("front exists"));
-            } else {
-                break;
-            }
-        }
-        out
     }
 
     /// Removes and returns the oldest in-flight read whatever its
@@ -1400,14 +1381,13 @@ mod tests {
             tag: 99,
         })
         .unwrap();
-        assert!(d.take_ready_data().is_empty());
+        assert!(d.pop_ready().is_none());
         d.tick();
-        assert!(d.take_ready_data().is_empty());
+        assert!(d.pop_ready().is_none());
         d.tick();
-        let ready = d.take_ready_data();
-        assert_eq!(ready.len(), 1);
-        assert_eq!(ready[0].tag, 99);
-        assert_eq!(ready[0].data, d.peek(d.local_addr(0, 1, 3)));
+        let ready = d.pop_ready().expect("data after CL");
+        assert_eq!(ready.tag, 99);
+        assert_eq!(ready.data, d.peek(d.local_addr(0, 1, 3)));
         assert!(!d.has_in_flight());
     }
 
@@ -1434,7 +1414,7 @@ mod tests {
         .unwrap();
         d.tick();
         d.tick();
-        assert_eq!(d.take_ready_data()[0].data, 0xDEAD);
+        assert_eq!(d.pop_ready().unwrap().data, 0xDEAD);
     }
 
     #[test]
@@ -1509,7 +1489,9 @@ mod tests {
         }
         d.tick();
         d.tick();
-        let tags: Vec<u64> = d.take_ready_data().iter().map(|r| r.tag).collect();
+        let tags: Vec<u64> = std::iter::from_fn(|| d.pop_ready())
+            .map(|r| r.tag)
+            .collect();
         assert_eq!(tags, vec![0, 1, 2, 3]);
     }
 
@@ -1549,35 +1531,10 @@ mod tests {
         for _ in 0..2 {
             b.tick();
         }
-        assert_eq!(a.take_ready_data(), b.take_ready_data());
-    }
-
-    #[test]
-    fn pop_ready_matches_take_ready_data() {
-        let mut d = dev();
-        d.issue(SdramCmd::Activate { bank: 0, row: 0 }).unwrap();
-        d.tick();
-        d.tick();
-        for i in 0..3u64 {
-            d.issue(SdramCmd::Read {
-                bank: 0,
-                col: i,
-                auto_precharge: false,
-                tag: i,
-            })
-            .unwrap();
-            d.tick();
-        }
-        assert_eq!(d.next_data_at(), Some(2 + 2));
-        d.tick();
-        d.tick();
-        let mut tags = Vec::new();
-        while let Some(r) = d.pop_ready() {
-            tags.push(r.tag);
-        }
-        assert_eq!(tags, vec![0, 1, 2]);
-        assert!(!d.has_in_flight());
-        assert_eq!(d.next_data_at(), None);
+        let ready = a.pop_ready();
+        assert!(ready.is_some());
+        assert_eq!(ready, b.pop_ready());
+        assert!(!a.has_in_flight() && !b.has_in_flight());
     }
 
     #[test]

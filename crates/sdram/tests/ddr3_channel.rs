@@ -228,9 +228,12 @@ fn write_burst_round_trips_through_single_reads() {
             tag: col,
         })
         .unwrap();
-        let data_at = d.next_data_at().unwrap();
-        tick_to(&mut d, data_at);
-        let r = d.pop_ready().expect("read data ready");
+        let r = loop {
+            if let Some(r) = d.pop_ready() {
+                break r;
+            }
+            d.tick();
+        };
         assert_eq!(r.data, data, "column {col} holds the burst word");
         d.tick();
     }

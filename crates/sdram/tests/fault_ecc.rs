@@ -17,7 +17,7 @@ fn timed_read(d: &mut Sdram, bank: u32, row: u64, col: u64) -> sdram::ReadReturn
     .unwrap();
     d.tick();
     d.tick();
-    d.take_ready_data()[0]
+    d.pop_ready().expect("read data ready")
 }
 
 fn cfg_with(fault: FaultConfig, ecc: bool) -> SdramConfig {
@@ -160,7 +160,7 @@ fn hard_failed_bank_poisons_reads_and_drops_writes() {
     .unwrap();
     d.tick();
     d.tick();
-    let r = d.take_ready_data()[0];
+    let r = d.pop_ready().unwrap();
     assert!(r.poisoned, "reads from a dead bank are flagged");
     assert_eq!(d.stats().dropped_writes, 1);
     assert_eq!(d.stats().detected_uncorrectable, 1);

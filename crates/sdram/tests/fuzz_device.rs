@@ -59,7 +59,7 @@ fn drive(seed: u64, steps: u32, cfg: SdramConfig) -> (TimingAuditor, Vec<(u64, u
             dev.issue(SdramCmd::Nop).expect("nop always legal");
         }
         dev.tick();
-        dev.take_ready_data();
+        while dev.pop_ready().is_some() {}
     }
     (audit, writes, dev)
 }
@@ -140,7 +140,7 @@ fn back_to_back_reads_stream_every_cycle() {
     let mut got = Vec::new();
     while dev.has_in_flight() {
         dev.tick();
-        got.extend(dev.take_ready_data());
+        got.extend(std::iter::from_fn(|| dev.pop_ready()));
     }
     assert_eq!(got.len(), 16);
     let last = got.last().unwrap().at_cycle;

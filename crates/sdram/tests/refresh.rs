@@ -117,7 +117,7 @@ fn read_row0(d: &mut Sdram, row: u64) -> u64 {
     .unwrap();
     d.tick();
     d.tick();
-    d.take_ready_data()[0].data
+    d.pop_ready().expect("read data ready").data
 }
 
 #[test]
@@ -212,7 +212,7 @@ fn rewrite_recharges_a_decayed_word() {
     .unwrap();
     d.tick();
     d.tick();
-    assert_eq!(d.take_ready_data()[0].data, 0x1234);
+    assert_eq!(d.pop_ready().unwrap().data, 0x1234);
 }
 
 #[test]

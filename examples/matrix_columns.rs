@@ -10,8 +10,8 @@
 //! Run with: `cargo run --example matrix_columns`
 
 use pva::core::{split_vector, MmcTlb, PvaError, Vector};
-use pva::kernels::LINE_WORDS;
-use pva::memsys::{SystemRegistry, TraceOp};
+use pva::kernels::{SystemKind, LINE_WORDS};
+use pva::memsys::TraceOp;
 
 const N: u64 = 256; // matrix dimension (words)
 
@@ -32,7 +32,7 @@ fn main() -> Result<(), PvaError> {
             vector.stride(),
             trace.len()
         );
-        for mut sys in SystemRegistry::with_defaults().build() {
+        for mut sys in SystemKind::ALL.map(|k| k.build()) {
             let out = sys.run_trace(&trace);
             println!(
                 "  {:22} {:>8} cycles  {:>8} bytes moved",
