@@ -92,11 +92,11 @@ mod tests {
     #[test]
     fn broken_pva_config_is_reported() {
         let bad = PvaConfig {
-            request_fifo_entries: 1,
+            vector_contexts: 0,
             ..PvaConfig::default()
         };
         let problems = check_pva("bad", &bad);
         assert_eq!(problems.len(), 1, "{problems:?}");
-        assert!(problems[0].contains("request_fifo_entries"));
+        assert!(problems[0].contains("vector_contexts"));
     }
 }

@@ -1674,7 +1674,6 @@ fn design_space() -> Scenario {
                     move || {
                         probe(PvaConfig {
                             transaction_ids: ids,
-                            request_fifo_entries: ids,
                             ..PvaConfig::default()
                         })
                     },

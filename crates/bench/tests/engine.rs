@@ -101,6 +101,13 @@ fn cheap_scenarios_match_committed_goldens() {
         // The fault campaign: a silent corruption or hang would
         // quarantine a cell and replace the text with a failure summary.
         "faults",
+        // The only golden that toggles the remaining scheduler options
+        // (out_of_order, promote_opens, bypass_paths, row_policy).
+        "ablation_scheduler",
+        "related_smc",
+        "ext_bitrev",
+        "cpu_sensitivity",
+        "ext_cache_pollution",
     ]
     .iter()
     .map(|name| (must_find(name), format!("{results}/{name}.txt")))

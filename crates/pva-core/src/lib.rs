@@ -66,9 +66,7 @@ pub use geometry::{BankId, Geometry, WordAddr};
 pub use hash::{FastHasher, FastMap};
 pub use indirect::{per_bank_counts, IndirectVector};
 pub use logical::LogicalView;
-pub use paging::{
-    exact_elements_on_page, split_vector, MmcTlb, PhysicalSubvector, Superpage, Translation,
-};
+pub use paging::{split_vector, MmcTlb, PhysicalSubvector, Superpage, Translation};
 pub use pla::{scaling_sweep, FullKiPla, K1Entry, K1Pla, PlaComplexity};
 pub use recursive::{gcd, next_hit_exact, next_hit_paper, OpCount};
 pub use rng::SplitMix64;

@@ -229,16 +229,16 @@ pub fn split_vector(v: &Vector, tlb: &MmcTlb) -> Result<Vec<PhysicalSubvector>, 
     Ok(out)
 }
 
-/// Exact element count per page (the division the paper avoids), used as
-/// the test oracle and to quantify the efficiency of the lower bound.
-pub fn exact_elements_on_page(paddr: WordAddr, page_size: u64, stride: u64) -> u64 {
-    let words_left = page_size - (paddr & (page_size - 1));
-    words_left.div_ceil(stride)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Exact element count per page (the division the paper avoids):
+    /// the oracle the lower bound is measured against.
+    fn exact_elements_on_page(paddr: WordAddr, page_size: u64, stride: u64) -> u64 {
+        let words_left = page_size - (paddr & (page_size - 1));
+        words_left.div_ceil(stride)
+    }
 
     fn tlb_4k() -> MmcTlb {
         MmcTlb::identity(1 << 20, 4096).unwrap()

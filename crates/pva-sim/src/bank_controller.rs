@@ -25,7 +25,10 @@
 //!
 //! Bypass paths (§5.2.3), the bus-polarity rule (§5.2.4), restimer-
 //! enforced SDRAM timing (§5.2.5) and the row-management heuristic are
-//! all modelled; each is switchable for the ablation benches.
+//! all modelled. The ablation benches switch the bypass paths,
+//! out-of-order issue, row-open promotion and the row policy
+//! ([`SchedulerOptions`](crate::SchedulerOptions)); everything else
+//! follows from the device the controller drives.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -62,6 +65,11 @@ const MAX_BACKOFF_SHIFT: u32 = 10;
 /// burst any shipped generation declares); bounds the stack buffer the
 /// scheduler assembles burst items in.
 const MAX_COALESCE: usize = 8;
+
+/// Dead cycles after a data-bus direction reversal (§5.2.5): a
+/// turnaround at cycle `t` leaves the command slots of `t` through
+/// `t + TURNAROUND_CYCLES` empty.
+const TURNAROUND_CYCLES: u64 = 1;
 
 /// A poisoned read awaiting re-issue: the element is re-expanded as a
 /// one-element vector context once `not_before` passes.
@@ -227,7 +235,7 @@ pub struct BankController {
     /// Last data-transfer direction on this bank's data bus.
     data_polarity: Option<OpKind>,
     /// Bank group of the last CAS accepted by this controller's device
-    /// (`None` before the first). The generation-aware issue policy
+    /// (`None` before the first). On multi-group parts the scheduler
     /// prefers CAS candidates from a *different* group, so the
     /// channel's short tCCD_S gate applies instead of tCCD_L.
     last_cas_group: Option<u32>,
@@ -447,7 +455,7 @@ impl BankController {
             indices,
         });
         debug_assert!(
-            self.fifo.len() <= self.config.request_fifo_entries,
+            self.fifo.len() <= self.config.transaction_ids,
             "register file sized to outstanding transactions can never overflow"
         );
         self.stats.requests_queued += 1;
@@ -475,11 +483,17 @@ impl BankController {
     /// reported by [`wake_hint`](BankController::wake_hint) replays a
     /// no-op.
     pub fn tick(&mut self, now: u64, txns: &mut TransactionTable) -> bool {
-        // Fully idle controllers dominate single-bank strides (15 of 16
-        // every cycle on stride 16). With nothing queued and the device
-        // at rest the full tick is provably a no-op, so only the clock
-        // and the wake hint need maintaining (a unit test pins the two
-        // forms equal).
+        // With nothing queued and the device at rest the full tick is
+        // provably a no-op, so only the clock and the wake hint need
+        // maintaining (a unit test pins the two forms equal). The event
+        // core parks such controllers and takes this path on only
+        // 0.07-0.31% of its controller ticks. The shortcut serves the
+        // reference stepper, which ticks every controller every cycle:
+        // fully idle ones dominate single-bank strides (15 of 16 on
+        // stride 16). Without it the stepper (the equivalence oracle
+        // and the `throughput` baseline) slows, and the gated speedup
+        // rises from 1.52-1.54x to 1.62-1.66x on sdr100: a gain that
+        // would come from a slower baseline, not a faster simulator.
         if self.quiet() {
             self.wake_hint = self.compute_wake(now, false);
             self.device.tick();
@@ -739,7 +753,7 @@ impl BankController {
     /// Whether a CAS of direction `kind` must first turn the data bus
     /// around (§5.2.4/§5.2.5).
     fn needs_turnaround(&self, kind: OpKind) -> bool {
-        self.config.turnaround_cycles > 0 && self.data_polarity.is_some_and(|p| p != kind)
+        self.data_polarity.is_some_and(|p| p != kind)
     }
 
     /// Bulk-advances the controller across `cycles` quiescent cycles —
@@ -838,9 +852,9 @@ impl BankController {
     /// [`schedule`](BankController::schedule) continued, with the issue
     /// window materialized as VC indices (oldest first).
     fn schedule_in_window(&mut self, window: &[usize], txns: &mut TransactionTable) {
-        // tFAW-aware activate pacing (generation-aware policy): decided
-        // once per cycle, before phase A runs.
-        let defer = self.gen_aware() && self.should_defer_activate(window);
+        // tFAW-aware activate pacing: decided once per cycle, before
+        // phase A runs.
+        let defer = self.should_defer_activate(window);
         let mut defer_counted = false;
 
         // Phase A: row opens / precharges for blocked VCs ("promote row
@@ -869,13 +883,12 @@ impl BankController {
         }
 
         // Phase B: reads/writes within the polarity window. On
-        // multi-group parts the generation-aware policy tries CAS
-        // candidates whose bank group differs from the last CAS first
-        // (`last_cas_group`): a group switch is gated by the short
-        // tCCD_S, a repeat by the long tCCD_L. On 1-group parts (and
-        // before the first CAS) every candidate is equally preferred
-        // and the passes collapse to arrival order.
-        let switch_from = if self.gen_aware() && self.config.sdram.bank_groups > 1 {
+        // multi-group parts CAS candidates whose bank group differs from
+        // the last CAS go first (`last_cas_group`): a group switch is
+        // gated by the short tCCD_S, a repeat by the long tCCD_L. On
+        // 1-group parts (and before the first CAS) every candidate is
+        // equally preferred and the passes collapse to arrival order.
+        let switch_from = if self.config.sdram.bank_groups > 1 {
             self.last_cas_group
         } else {
             None
@@ -998,7 +1011,7 @@ impl BankController {
             win.push(0);
             return;
         }
-        if !(self.gen_aware() && self.config.sdram.declares_channel_structure()) {
+        if !self.config.sdram.declares_channel_structure() {
             win.extend((0..self.vcs.len()).take_while(|&i| self.vcs[i].kind == front));
             return;
         }
@@ -1071,15 +1084,6 @@ impl BankController {
         }
     }
 
-    /// Whether the generation-aware issue policy is enabled. The policy
-    /// additionally degenerates to arrival order wherever the device
-    /// declares no channel structure (1 bank group, burst length 1,
-    /// tFAW 0) — the SDR-era presets — which the golden-identity tests
-    /// pin.
-    const fn gen_aware(&self) -> bool {
-        self.config.options.generation_aware
-    }
-
     /// Whether phase A should hold ACTIVATEs back this cycle: the tFAW
     /// window has exactly one slot free (an activate now closes the
     /// window for the rest of its span) while some context inside the
@@ -1105,12 +1109,12 @@ impl BankController {
     /// Length of the run of elements, starting at context `i`'s cursor,
     /// that one CAS burst can cover: successive elements must stay in
     /// internal bank `ib`, row `row`, and occupy strictly consecutive
-    /// columns from `col`. Always 1 unless the generation-aware policy
-    /// is on and the part bursts more than one word; index-list
-    /// (block-interleave) contexts issue per word.
+    /// columns from `col`. Always 1 on parts that burst one word (the
+    /// SDR-era presets); index-list (block-interleave) contexts issue
+    /// per word.
     fn coalesce_run(&self, i: usize, ib: u32, row: u64, col: u64) -> u64 {
         let vc = &self.vcs[i];
-        if !self.gen_aware() || vc.indices.is_some() {
+        if vc.indices.is_some() {
             return 1;
         }
         let max =
@@ -1138,10 +1142,9 @@ impl BankController {
         }
         let kind = self.vcs[i].kind;
         // Bus turnaround on polarity reversal (§5.2.5): the slot of this
-        // cycle and the next `turnaround_cycles` stays empty.
+        // cycle and the next `TURNAROUND_CYCLES` stays empty.
         if self.needs_turnaround(kind) {
-            self.turnaround_until =
-                self.device.now() + u64::from(self.config.turnaround_cycles) + 1;
+            self.turnaround_until = self.device.now() + TURNAROUND_CYCLES + 1;
             self.stats.turnarounds += 1;
             self.data_polarity = Some(kind);
             self.window_stale = true;
@@ -1159,8 +1162,8 @@ impl BankController {
             return false; // tRCD/tCCD still pending; try a younger VC.
         }
         // Burst coalescing: adjacent same-row elements whose columns
-        // are consecutive ride one CAS on BL4/BL8 parts. `k == 1`
-        // everywhere else and takes the original single-word path.
+        // are consecutive ride one CAS on BL4/BL8 parts; `k == 1`
+        // everywhere else.
         let k = self.coalesce_run(i, ib, row, col);
         let last_for_vc = self.vcs[i].remaining == k;
         // The element after the run feeds both the row-management
@@ -1179,55 +1182,27 @@ impl BankController {
         let auto = self.decide_auto_precharge(i, ib, row, next_same_row);
         let txn = self.vcs[i].txn;
         let element = self.vcs[i].element;
-        let issued = if k > 1 {
-            // One CAS burst covering the whole run; per-word tags
-            // (reads) or data (writes) assembled on the stack.
-            let vc = &self.vcs[i];
-            let mut items = [(0u64, 0u64); MAX_COALESCE];
-            for (j, slot) in items[..k as usize].iter_mut().enumerate() {
-                let e = element + vc.index_delta * j as u64;
-                slot.0 = col + j as u64;
-                slot.1 = match kind {
-                    OpKind::Read => tag_of(txn, e),
-                    OpKind::Write => vc
-                        .write_line
-                        .as_ref()
-                        .expect("write context carries its line")[e as usize],
-                };
-            }
-            match kind {
-                OpKind::Read => self
-                    .device
-                    .issue_read_burst(ib, auto, &items[..k as usize])
-                    .is_ok(),
-                OpKind::Write => self
-                    .device
-                    .issue_write_burst(ib, auto, &items[..k as usize])
-                    .is_ok(),
-            }
-        } else {
-            let cmd = match kind {
-                OpKind::Read => SdramCmd::Read {
-                    bank: ib,
-                    col,
-                    auto_precharge: auto,
-                    tag: tag_of(txn, element),
-                },
-                OpKind::Write => {
-                    let line = self.vcs[i]
-                        .write_line
-                        .as_ref()
-                        .expect("write context carries its line");
-                    SdramCmd::Write {
-                        bank: ib,
-                        col,
-                        data: line[element as usize],
-                        auto_precharge: auto,
-                    }
-                }
+        // One CAS covering the whole run; per-word tags (reads) or data
+        // (writes) assembled on the stack.
+        let vc = &self.vcs[i];
+        let mut buf = [(0u64, 0u64); MAX_COALESCE];
+        let items = &mut buf[..k as usize];
+        for (j, slot) in items.iter_mut().enumerate() {
+            let e = element + vc.index_delta * j as u64;
+            slot.0 = col + j as u64;
+            slot.1 = match kind {
+                OpKind::Read => tag_of(txn, e),
+                OpKind::Write => vc
+                    .write_line
+                    .as_ref()
+                    .expect("write context carries its line")[e as usize],
             };
-            self.device.issue(cmd).is_ok()
-        };
+        }
+        let issued = match kind {
+            OpKind::Read => self.device.issue_read_burst(ib, auto, items),
+            OpKind::Write => self.device.issue_write_burst(ib, auto, items),
+        }
+        .is_ok();
         if !issued {
             return false;
         }

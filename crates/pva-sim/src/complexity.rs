@@ -84,7 +84,7 @@ pub fn unit_complexity(config: &PvaConfig) -> ComplexityReport {
         + 1 /* ACC flag */;
     let rf = ModuleComplexity {
         module: "Register File + Request FIFO (RF/RQF)",
-        state_bits: config.request_fifo_entries as u64 * rf_entry_bits + 2 * txn_bits, /* head/tail pointers */
+        state_bits: config.transaction_ids as u64 * rf_entry_bits + 2 * txn_bits, /* head/tail pointers */
         table_bits: 0,
         ram_bytes: 0,
     };

@@ -59,16 +59,6 @@ pub struct SchedulerOptions {
     /// this request" when the four-bit hit history equals `h` (1 = hit,
     /// most recent in the low bit).
     pub precharge_policy_reg: u16,
-    /// Generation-aware issue policy for parts that declare channel
-    /// constraints (bank groups, tCCD_L/tCCD_S, tFAW) or a burst length
-    /// above one: prefer CAS candidates whose bank group differs from
-    /// the last CAS (the short tCCD_S gate applies instead of tCCD_L),
-    /// defer an ACTIVATE that would burn the last tFAW slot while a CAS
-    /// is ready to go, and coalesce adjacent same-row elements into one
-    /// CAS burst. Provably inert on 1-group, burst-length-1 parts (the
-    /// SDR-era presets): every decision point degenerates to the
-    /// arrival-order policy, which the golden-identity tests pin.
-    pub generation_aware: bool,
 }
 
 impl Default for SchedulerOptions {
@@ -79,7 +69,6 @@ impl Default for SchedulerOptions {
             bypass_paths: true,
             row_policy: RowPolicy::default(),
             precharge_policy_reg: default_precharge_policy(),
-            generation_aware: true,
         }
     }
 }
@@ -124,20 +113,18 @@ pub struct PvaConfig {
     pub geometry: Geometry,
     /// Vector command length limit in words (one L2 cache line).
     pub line_words: u64,
-    /// Outstanding split-transaction IDs on the vector bus.
+    /// Outstanding split-transaction IDs on the vector bus. Each bank
+    /// controller's register file / request FIFO holds one entry per
+    /// ID, so it can never overflow (§5.2.3).
     pub transaction_ids: usize,
     /// Vector contexts per bank controller.
     pub vector_contexts: usize,
-    /// Request FIFO / register file entries per bank controller.
-    pub request_fifo_entries: usize,
     /// Latency of the FHC multiply-add for non-power-of-two strides
     /// (cycles). The synthesized prototype needed two cycles at 100 MHz.
     pub fhc_latency: u32,
     /// Words transferred per cycle during STAGE_READ / STAGE_WRITE on
     /// the BC bus (two 64-bit halves of the 128-bit bus).
     pub stage_words_per_cycle: u64,
-    /// Dead cycles when the data-bus direction reverses (§5.2.5).
-    pub turnaround_cycles: u32,
     /// SDRAM device timing.
     pub sdram: SdramConfig,
     /// Scheduler feature switches.
@@ -181,10 +168,8 @@ impl Default for PvaConfig {
             line_words: 32,
             transaction_ids: 8,
             vector_contexts: 4,
-            request_fifo_entries: 8,
             fhc_latency: 2,
             stage_words_per_cycle: 2,
-            turnaround_cycles: 1,
             sdram: SdramConfig::default(),
             options: SchedulerOptions::default(),
             record_trace: false,
@@ -243,16 +228,6 @@ impl PvaConfig {
             // TxnId is a u8 on the modeled vector bus.
             errs.push(PvaConfigError::TooManyTransactionIds(self.transaction_ids));
         }
-        if self.request_fifo_entries < self.transaction_ids {
-            // The per-bank register file is indexed by transaction ID;
-            // the §5.2.3 flow-control argument (a slot per outstanding
-            // transaction means the FIFO can never overflow) needs one
-            // entry per ID.
-            errs.push(PvaConfigError::FifoSmallerThanTransactionIds {
-                fifo: self.request_fifo_entries,
-                txns: self.transaction_ids,
-            });
-        }
         if self.vector_contexts == 0 {
             errs.push(PvaConfigError::NoVectorContexts);
         }
@@ -302,15 +277,6 @@ pub enum PvaConfigError {
     /// `transaction_ids` must fit the 8-bit transaction-ID field of the
     /// modeled split-transaction bus (at most 256).
     TooManyTransactionIds(usize),
-    /// `request_fifo_entries` must be at least `transaction_ids`: the
-    /// §5.2.3 flow-control argument sizes the per-bank register file so
-    /// one slot exists per outstanding transaction.
-    FifoSmallerThanTransactionIds {
-        /// Configured `request_fifo_entries`.
-        fifo: usize,
-        /// Configured `transaction_ids`.
-        txns: usize,
-    },
     /// `vector_contexts` must be at least 1.
     NoVectorContexts,
     /// `line_words` must be at least 1.
@@ -338,9 +304,6 @@ impl PvaConfigError {
             PvaConfigError::TooManyTransactionIds(_) => {
                 "transaction_ids exceeds the 8-bit bus transaction-ID field"
             }
-            PvaConfigError::FifoSmallerThanTransactionIds { .. } => {
-                "request FIFO smaller than transaction IDs"
-            }
             PvaConfigError::NoVectorContexts => "vector_contexts must be at least 1",
             PvaConfigError::ZeroLineWords => "line_words must be at least 1",
             PvaConfigError::StageWordsNotPowerOfTwo(_) => {
@@ -362,12 +325,6 @@ impl core::fmt::Display for PvaConfigError {
                 write!(
                     f,
                     "transaction_ids = {n} exceeds the 8-bit ID field (max 256)"
-                )
-            }
-            PvaConfigError::FifoSmallerThanTransactionIds { fifo, txns } => {
-                write!(
-                    f,
-                    "request_fifo_entries = {fifo} is smaller than transaction_ids = {txns}"
                 )
             }
             PvaConfigError::StageWordsNotPowerOfTwo(n) => {
@@ -440,17 +397,9 @@ mod tests {
             (
                 PvaConfig {
                     transaction_ids: 257,
-                    request_fifo_entries: 257,
                     ..PvaConfig::default()
                 },
                 PvaConfigError::TooManyTransactionIds(257),
-            ),
-            (
-                PvaConfig {
-                    request_fifo_entries: 4,
-                    ..PvaConfig::default()
-                },
-                PvaConfigError::FifoSmallerThanTransactionIds { fifo: 4, txns: 8 },
             ),
             (
                 PvaConfig {

@@ -320,7 +320,7 @@ fn fig7_kernel_stride_sweep_matches() {
 }
 
 /// A config on the named channel-declaring device preset. These are the
-/// parts where the generation-aware policy actually reorders, defers and
+/// parts where the scheduler actually reorders, defers and
 /// coalesces, so the fast path has channel gates (tCCD, tRRD, tFAW)
 /// folded into its wake sources to get wrong.
 fn preset_cfg(preset: DevicePreset) -> PvaConfig {
@@ -374,68 +374,6 @@ fn generation_parts_fault_campaign_matches() {
             })
             .collect();
         assert_identical(cfg, &reqs, &format!("{} faults", preset.name()));
-    }
-}
-
-/// Runs `requests` with the generation-aware policy toggled and returns
-/// both results for identity comparison.
-fn run_policy_pair(cfg: PvaConfig, requests: &[HostRequest]) -> (RunResult, RunResult) {
-    let mut on = cfg;
-    on.options.generation_aware = true;
-    let mut off = cfg;
-    off.options.generation_aware = false;
-    (
-        run_with(on, requests).expect("policy-on run succeeds"),
-        run_with(off, requests).expect("policy-off run succeeds"),
-    )
-}
-
-#[test]
-fn generation_policy_is_inert_on_sdr_parts() {
-    // On 1-group, burst-length-1 parts every generation-aware decision
-    // degenerates to the arrival-order policy: no group to prefer, no
-    // tFAW to pace, nothing to coalesce, and the polarity window never
-    // extends (the extension is gated on declared channel structure).
-    // The committed goldens pin this for the bench kernels; this test
-    // pins it for the simulator directly, fault paths included.
-    let kernel_reqs = {
-        let bases = Alignment::BankStagger.bases(2, ARRAY_REGION);
-        requests_of(&Kernel::Copy.trace(&bases, 1, 256, LINE_WORDS))
-    };
-    let mut faulty = PvaConfig::default();
-    faulty.sdram.fault.transient_ppm = 50_000;
-    faulty.sdram.fault.seed = 23;
-    let cases: Vec<(PvaConfig, Vec<HostRequest>, &str)> = vec![
-        (PvaConfig::default(), kernel_reqs, "sdr copy s1"),
-        (
-            PvaConfig::default(),
-            (0..8u64)
-                .map(|i| {
-                    let base = i * 512 * 16;
-                    if i % 2 == 0 {
-                        read(base, 16, 32)
-                    } else {
-                        write(base, 16, 32)
-                    }
-                })
-                .collect(),
-            "sdr rw mix",
-        ),
-        (
-            faulty,
-            vec![read(0, 1, 32), read(1 << 16, 19, 32)],
-            "sdr faults",
-        ),
-    ];
-    for (cfg, reqs, label) in cases {
-        assert!(
-            !cfg.sdram.declares_channel_structure(),
-            "{label}: the identity claim only holds for SDR-era parts"
-        );
-        let (on, off) = run_policy_pair(cfg, &reqs);
-        assert_eq!(on.cycles, off.cycles, "{label}: cycles");
-        assert_eq!(on.completions, off.completions, "{label}: completions");
-        assert_eq!(on.sdram, off.sdram, "{label}: device stats");
     }
 }
 
