@@ -17,7 +17,7 @@
 //! journal ([`crate::journal`]) so a killed run resumes where it left
 //! off with identical final output.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Mutex};
@@ -99,10 +99,15 @@ pub struct CellSpec {
     pub label: String,
     /// The computation.
     pub work: Work,
+    /// Whether `system` and `label` identify the computation across
+    /// every scenario of a batch: shared cells with the same pair must
+    /// compute the same data, and the engine runs each pair once and
+    /// gives the result to every scenario that lists it.
+    pub shared: bool,
 }
 
 impl CellSpec {
-    /// Builds a cell.
+    /// Builds a cell private to its scenario (set `shared` to share it).
     pub fn new(
         system: impl Into<String>,
         label: impl Into<String>,
@@ -112,6 +117,7 @@ impl CellSpec {
             system: system.into(),
             label: label.into(),
             work: Box::new(work),
+            shared: false,
         }
     }
 }
@@ -246,12 +252,13 @@ impl RunRecord {
     pub fn from_json(text: &str) -> Result<RunRecord, String> {
         let v = json::parse(text).map_err(|e| e.to_string())?;
         let field = |k: &str| v.get(k).ok_or_else(|| format!("missing field '{k}'"));
-        let str_field = |k: &str| {
-            field(k)?
-                .as_str()
+        let text_field = |val: &Value, k: &str| {
+            val.get(k)
+                .and_then(Value::as_str)
                 .map(str::to_string)
-                .ok_or_else(|| format!("field '{k}' is not a string"))
+                .ok_or_else(|| format!("field '{k}' is missing or not a string"))
         };
+        let str_field = |k: &str| text_field(&v, k);
         let u64_field = |val: &Value, k: &str| {
             val.get(k)
                 .and_then(Value::as_u64)
@@ -269,16 +276,8 @@ impl RunRecord {
             .iter()
             .map(|c| {
                 Ok(CellRecord {
-                    system: c
-                        .get("system")
-                        .and_then(Value::as_str)
-                        .ok_or("cell field 'system' is not a string")?
-                        .to_string(),
-                    label: c
-                        .get("label")
-                        .and_then(Value::as_str)
-                        .ok_or("cell field 'label' is not a string")?
-                        .to_string(),
+                    system: text_field(c, "system")?,
+                    label: text_field(c, "label")?,
                     cycles: u64_field(c, "cycles")?,
                     bytes: u64_field(c, "bytes")?,
                     wall_ns: u64_field(c, "wall_ns")?,
@@ -290,28 +289,13 @@ impl RunRecord {
             Some(Value::Arr(items)) => items
                 .iter()
                 .map(|f| {
-                    let kind_str = f
-                        .get("kind")
-                        .and_then(Value::as_str)
-                        .ok_or("failure field 'kind' is not a string")?;
+                    let kind = text_field(f, "kind")?;
                     Ok(CellFailure {
-                        system: f
-                            .get("system")
-                            .and_then(Value::as_str)
-                            .ok_or("failure field 'system' is not a string")?
-                            .to_string(),
-                        label: f
-                            .get("label")
-                            .and_then(Value::as_str)
-                            .ok_or("failure field 'label' is not a string")?
-                            .to_string(),
-                        kind: FailureKind::parse(kind_str)
-                            .ok_or_else(|| format!("unknown failure kind '{kind_str}'"))?,
-                        message: f
-                            .get("message")
-                            .and_then(Value::as_str)
-                            .ok_or("failure field 'message' is not a string")?
-                            .to_string(),
+                        system: text_field(f, "system")?,
+                        label: text_field(f, "label")?,
+                        kind: FailureKind::parse(&kind)
+                            .ok_or_else(|| format!("unknown failure kind '{kind}'"))?,
+                        message: text_field(f, "message")?,
                     })
                 })
                 .collect::<Result<Vec<_>, String>>()?,
@@ -417,7 +401,7 @@ impl ExecConfig {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
     /// The environment failed the run: unreadable or mismatched
-    /// journal, journal write error.
+    /// journal, journal write error, a worker thread the OS refused.
     Environment(String),
     /// A cell failed while `strict` was set.
     StrictFailure(String),
@@ -439,6 +423,9 @@ pub struct EngineRun {
     pub reports: Vec<ScenarioReport>,
     /// Cells restored from the journal instead of simulated.
     pub resumed_cells: usize,
+    /// Cell computations run in this process: a shared cell counts once
+    /// however many scenarios list it.
+    pub simulated_cells: usize,
     /// Cells quarantined after a failed run (sum over scenarios).
     pub failed_cells: usize,
 }
@@ -465,8 +452,7 @@ fn failure_text(name: &str, failures: &[CellFailure]) -> String {
     out
 }
 
-/// A not-yet-executed cell on the pool's deques:
-/// `(global submission index, work)`.
+/// A not-yet-executed cell on the pool's deques: `(job index, work)`.
 type PendingCell = (usize, Work);
 
 /// Runs a batch of scenarios under a full [`ExecConfig`], fanning every
@@ -474,12 +460,17 @@ type PendingCell = (usize, Work);
 /// execution, optional write-ahead journaling, and resume. Results are
 /// deterministic in content and order for any `jobs >= 1`.
 ///
+/// Shared cells ([`CellSpec::shared`]) run once per distinct identity
+/// in the batch; the result, its wall time included, fills every slot
+/// that lists it and is journaled once per slot.
+///
 /// Returns `Err` on environmental problems — an unreadable journal, a
 /// journal whose selection or cell identities (system and label at each
-/// index) differ from this run's, a journal write failure — and, in
-/// `strict` mode, on the first quarantined cell. Cell failures in
-/// non-strict mode are *not* errors: they are quarantined into each
-/// record's `failures` list and counted in [`EngineRun::failed_cells`].
+/// index) differ from this run's, a journal write failure, a worker
+/// thread the OS refused — and, in `strict` mode, on the first
+/// quarantined cell. Cell failures in non-strict mode are *not* errors:
+/// they are quarantined into each record's `failures` list and counted
+/// in [`EngineRun::failed_cells`].
 pub fn run_scenarios_checked(
     scenarios: &[&Scenario],
     cfg: &ExecConfig,
@@ -516,11 +507,16 @@ pub fn run_scenarios_checked(
         }
     }
 
-    // Partition cells: replayed (from the journal) vs pending work.
+    // Partition cells: replayed (from the journal) vs pending work. A
+    // pending shared cell joins the job of its identity's first pending
+    // listing, so each identity runs once; `targets[job]` lists the
+    // slots its result fills.
     let mut meta: Vec<(usize, usize, String, String)> = Vec::new(); // (si, ci, system, label)
     let mut slots: Vec<Option<Slot>> = Vec::new();
     let mut replayed: Vec<bool> = Vec::new();
     let mut pending: Vec<PendingCell> = Vec::new();
+    let mut targets: Vec<Vec<usize>> = Vec::new();
+    let mut shared_jobs: HashMap<(String, String), usize> = HashMap::new();
     for (si, s) in scenarios.iter().enumerate() {
         for (ci, cell) in (s.build)().into_iter().enumerate() {
             let global = meta.len();
@@ -550,7 +546,18 @@ pub fn run_scenarios_checked(
                 None => {
                     slots.push(None);
                     replayed.push(false);
-                    pending.push((global, cell.work));
+                    let job = if cell.shared {
+                        *shared_jobs
+                            .entry((cell.system.clone(), cell.label.clone()))
+                            .or_insert(targets.len())
+                    } else {
+                        targets.len()
+                    };
+                    if job == targets.len() {
+                        targets.push(Vec::new());
+                        pending.push((job, cell.work));
+                    }
+                    targets[job].push(global);
                 }
             }
             meta.push((si, ci, cell.system, cell.label));
@@ -570,6 +577,8 @@ pub fn run_scenarios_checked(
     };
 
     let resumed_cells = replayed.iter().filter(|&&r| r).count();
+    let mut simulated_cells = 0usize;
+    let mut spawn_error: Option<String> = None;
     let mut strict_failure: Option<String> = None;
     let mut journal_error: Option<String> = None;
 
@@ -581,15 +590,15 @@ pub fn run_scenarios_checked(
             queues[i % workers].lock().unwrap().push_back(job);
         }
         let abort = AtomicBool::new(false);
-        type CellResult = Result<(CellData, u64), resilient::AttemptError>;
-        let (tx, rx) = mpsc::channel::<(usize, CellResult)>();
+        type JobResult = Result<(CellData, u64), resilient::AttemptError>;
+        let (tx, rx) = mpsc::channel::<(usize, JobResult)>();
         std::thread::scope(|scope| {
             let queues = &queues;
             let abort = &abort;
             let policy = &cfg.policy;
             for wi in 0..workers {
                 let tx = tx.clone();
-                scope.spawn(move || loop {
+                let worker = move || loop {
                     if abort.load(Ordering::Relaxed) {
                         break;
                     }
@@ -599,59 +608,75 @@ pub fn run_scenarios_checked(
                             .find_map(|d| queues[(wi + d) % workers].lock().unwrap().pop_back())
                     });
                     match job {
-                        Some((global, work)) => {
+                        Some((job, work)) => {
                             let result = resilient::attempt_once(work, policy);
                             // The collector drains inside this scope;
                             // send cannot fail.
-                            tx.send((global, result)).expect("collector alive");
+                            tx.send((job, result)).expect("collector alive");
                         }
                         None => break,
                     }
-                });
+                };
+                if let Err(e) = std::thread::Builder::new().spawn_scoped(scope, worker) {
+                    // The workers already running stop after their
+                    // current cell.
+                    abort.store(true, Ordering::Relaxed);
+                    spawn_error = Some(format!("starting worker {wi} of {workers}: {e}"));
+                    break;
+                }
             }
             drop(tx);
             // Collect (and journal) on the scope's own thread while the
             // workers run: the loop ends when every worker has exited
             // and dropped its sender, so nothing blocks scope exit.
-            for (global, result) in rx {
-                let (si, ci, system, label) = &meta[global];
-                let name = scenarios[*si].name;
-                match result {
-                    Ok((data, wall_ns)) => {
-                        if let Some(j) = writer.as_mut() {
-                            if let Err(e) = j.record_cell(name, *ci, system, label, &data, wall_ns)
-                            {
-                                journal_error.get_or_insert(format!("journal write: {e}"));
-                            }
-                        }
-                        slots[global] = Some(Slot::Done(data, wall_ns));
-                    }
-                    Err(err) => {
-                        let failure = CellFailure {
+            for (job, result) in rx {
+                simulated_cells += 1;
+                if let (Err(err), true) = (&result, cfg.policy.strict) {
+                    // Fail fast.
+                    abort.store(true, Ordering::Relaxed);
+                    let (_, _, system, label) = &meta[targets[job][0]];
+                    strict_failure
+                        .get_or_insert(format!("cell {system}/{label} failed: {}", err.message));
+                }
+                // A shared cell's result fills, and is journaled for,
+                // every slot that lists it.
+                for &global in &targets[job] {
+                    let (si, ci, system, label) = &meta[global];
+                    let name = scenarios[*si].name;
+                    let slot = match &result {
+                        Ok((data, wall_ns)) => Slot::Done(data.clone(), *wall_ns),
+                        Err(err) => Slot::Failed(CellFailure {
                             system: system.clone(),
                             label: label.clone(),
                             kind: err.kind,
-                            message: err.message,
-                        };
-                        if cfg.policy.strict {
-                            // Fail fast; deliberately NOT journaled, so
-                            // a later --resume runs the cell again instead
-                            // of replaying the failure forever.
-                            abort.store(true, Ordering::Relaxed);
-                            strict_failure.get_or_insert(format!(
-                                "cell {}/{} failed: {}",
-                                failure.system, failure.label, failure.message
-                            ));
-                        } else if let Some(j) = writer.as_mut() {
-                            if let Err(e) = j.record_failure(name, *ci, &failure) {
-                                journal_error.get_or_insert(format!("journal write: {e}"));
+                            message: err.message.clone(),
+                        }),
+                    };
+                    if let Some(j) = writer.as_mut() {
+                        let written = match &slot {
+                            Slot::Done(data, wall_ns) => {
+                                j.record_cell(name, *ci, system, label, data, *wall_ns)
                             }
+                            // Strict failures and refused threads are not
+                            // journaled: a --resume runs the cell again.
+                            Slot::Failed(f)
+                                if !cfg.policy.strict && f.kind != FailureKind::Spawn =>
+                            {
+                                j.record_failure(name, *ci, f)
+                            }
+                            Slot::Failed(_) => Ok(()),
+                        };
+                        if let Err(e) = written {
+                            journal_error.get_or_insert(format!("journal write: {e}"));
                         }
-                        slots[global] = Some(Slot::Failed(failure));
                     }
+                    slots[global] = Some(slot);
                 }
             }
         });
+    }
+    if let Some(msg) = spawn_error {
+        return Err(env(msg));
     }
     if let Some(msg) = strict_failure {
         return Err(EngineError::StrictFailure(msg));
@@ -674,29 +699,21 @@ pub fn run_scenarios_checked(
             if replayed[cursor] {
                 resumed += 1;
             }
-            match slots[cursor].take().expect("every cell resolved") {
-                Slot::Done(d, wall_ns) => {
-                    cells.push(CellRecord {
-                        system: system.clone(),
-                        label: label.clone(),
-                        cycles: d.cycles,
-                        bytes: d.bytes,
-                        wall_ns,
-                    });
-                    data.push(d);
-                }
+            let (d, wall_ns) = match slots[cursor].take().expect("every cell resolved") {
+                Slot::Done(d, wall_ns) => (d, wall_ns),
                 Slot::Failed(f) => {
-                    cells.push(CellRecord {
-                        system: system.clone(),
-                        label: label.clone(),
-                        cycles: 0,
-                        bytes: 0,
-                        wall_ns: 0,
-                    });
-                    data.push(CellData::default());
                     failures.push(f);
+                    (CellData::default(), 0)
                 }
-            }
+            };
+            cells.push(CellRecord {
+                system: system.clone(),
+                label: label.clone(),
+                cycles: d.cycles,
+                bytes: d.bytes,
+                wall_ns,
+            });
+            data.push(d);
             cursor += 1;
         }
         failed_cells += failures.len();
@@ -735,6 +752,7 @@ pub fn run_scenarios_checked(
     Ok(EngineRun {
         reports,
         resumed_cells,
+        simulated_cells,
         failed_cells,
     })
 }
@@ -946,6 +964,86 @@ mod tests {
             "{}",
             run.reports[0].text
         );
+    }
+
+    /// Shared cells `sys/p<i>`, one per `i` in `points`, each counting
+    /// its runs in `runs`.
+    fn shared_scenario(
+        name: &'static str,
+        points: &'static [u64],
+        runs: &Arc<AtomicU32>,
+    ) -> Scenario {
+        let runs = Arc::clone(runs);
+        let cell = move |i: u64| {
+            let runs = Arc::clone(&runs);
+            let work = move || {
+                runs.fetch_add(1, Ordering::SeqCst);
+                CellData::cycles(i * 10, i)
+            };
+            CellSpec {
+                shared: true,
+                ..CellSpec::new("sys", format!("p{i}"), work)
+            }
+        };
+        Scenario {
+            name,
+            build: Box::new(move || points.iter().map(|&i| cell(i)).collect()),
+            ..tiny_scenario()
+        }
+    }
+
+    #[test]
+    fn shared_cell_runs_once_for_every_scenario_that_lists_it() {
+        let runs = Arc::new(AtomicU32::new(0));
+        let (a, b) = (
+            shared_scenario("a", &[0, 1, 2], &runs),
+            shared_scenario("b", &[2, 1, 3], &runs),
+        );
+        let run = run_scenarios_checked(&[&a, &b], &ExecConfig::with_jobs(2)).expect("run");
+        assert_eq!((runs.load(Ordering::SeqCst), run.simulated_cells), (4, 4));
+        let cycles = |r: &ScenarioReport| r.data.iter().map(|d| d.cycles).collect::<Vec<_>>();
+        assert_eq!(cycles(&run.reports[0]), [0, 10, 20]);
+        assert_eq!(cycles(&run.reports[1]), [20, 10, 30]);
+        // Every listing carries the point's own wall time.
+        let wall = |r: usize| run.reports[r].record.cells[1].wall_ns;
+        assert_eq!(wall(0), wall(1));
+    }
+
+    #[test]
+    fn resume_after_some_slots_of_a_shared_cell_is_exact() {
+        let path =
+            std::env::temp_dir().join(format!("pva-bench-shared-{}.jsonl", std::process::id()));
+        let runs = Arc::new(AtomicU32::new(0));
+        let scens = [("a", &[0, 1, 2][..]), ("b", &[2, 1, 3]), ("c", &[1])]
+            .map(|(name, points)| shared_scenario(name, points, &runs));
+        let refs: Vec<&Scenario> = scens.iter().collect();
+        let cfg = ExecConfig {
+            journal: Some(path.clone()),
+            ..ExecConfig::with_jobs(1)
+        };
+        let full = run_scenarios_checked(&refs, &cfg).expect("journaled run");
+        // One worker journals in submission order: header, p0, then p1's
+        // slots a#1, b#1, c#0. Keep p1's first slot only, as a kill
+        // between those writes would.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(lines[2].contains("\"p1\"") && lines[3].contains("\"p1\""));
+        std::fs::write(&path, format!("{}\n", lines[..3].join("\n"))).unwrap();
+        let resumed = run_scenarios_checked(
+            &refs,
+            &ExecConfig {
+                resume: true,
+                ..cfg
+            },
+        );
+        let _ = std::fs::remove_file(&path);
+        let resumed = resumed.expect("resume");
+        // p1 runs again for its two unwritten slots; p2 and p3 run.
+        assert_eq!((resumed.resumed_cells, resumed.simulated_cells), (2, 3));
+        for (a, b) in full.reports.iter().zip(&resumed.reports) {
+            assert_eq!(a.text, b.text, "{}", a.name);
+            assert_eq!(a.record.canonical(), b.record.canonical(), "{}", a.name);
+        }
     }
 
     #[test]

@@ -40,6 +40,9 @@
 //! journal files; `diff` compares two records canonically (ignoring
 //! wall-clock fields).
 //!
+//! `--jobs` takes 1 to 256 workers (default: the CPU count, capped the
+//! same way); a larger value is a usage error.
+//!
 //! Exit codes: 0 ok · 1 runtime error · 2 usage · 3 verify/diff
 //! mismatch · 4 schema-invalid input · 5 cell failures present.
 
@@ -73,6 +76,10 @@ const EXIT_SCHEMA: u8 = 4;
 /// One or more cells were quarantined (also used for `--strict`
 /// aborts).
 const EXIT_CELL_FAILURES: u8 = 5;
+
+/// Largest `--jobs` accepted. Each worker may run its cell on a thread
+/// of its own, so this keeps a run below ~2 × `MAX_JOBS` threads.
+const MAX_JOBS: usize = 256;
 
 /// What went wrong during a run; folded into one documented exit code.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -114,6 +121,7 @@ fn usage() -> ! {
          \x20                    [EXEC FLAGS]\n\
          \x20      pva-bench validate FILE...\n\
          \x20      pva-bench diff A.json B.json\n\
+         --jobs N: 1 to {MAX_JOBS} worker threads (default: the CPU count)\n\
          EXEC FLAGS: [--journal PATH] [--resume] [--cell-timeout SECS] [--strict]\n\
          \x20           each cell runs once; --cell-timeout (default 120, 0 disables)\n\
          \x20           quarantines a cell still running after SECS seconds\n\
@@ -151,7 +159,7 @@ struct Options {
 
 fn parse_options(args: &[String]) -> Options {
     let mut o = Options {
-        jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        jobs: std::thread::available_parallelism().map_or(1, |n| n.get().min(MAX_JOBS)),
         smoke: false,
         json_dir: None,
         out_dir: None,
@@ -176,12 +184,9 @@ fn parse_options(args: &[String]) -> Options {
         match a.as_str() {
             "--smoke" => o.smoke = true,
             "--jobs" => {
-                o.jobs = value("--jobs").parse().unwrap_or_else(|_| {
-                    eprintln!("--jobs takes a positive integer");
-                    std::process::exit(EXIT_USAGE as i32);
-                });
-                if o.jobs == 0 {
-                    eprintln!("--jobs takes a positive integer");
+                o.jobs = value("--jobs").parse().unwrap_or(0);
+                if !(1..=MAX_JOBS).contains(&o.jobs) {
+                    eprintln!("--jobs takes an integer from 1 to {MAX_JOBS}");
                     std::process::exit(EXIT_USAGE as i32);
                 }
             }

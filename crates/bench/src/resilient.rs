@@ -3,11 +3,12 @@
 //!
 //! Each scenario cell is a pure closure over deterministic simulations,
 //! so running a failed cell again would replay the same failure: every
-//! cell runs exactly once. A failure is either a bug (panic) or a cell
-//! that outlives its wall-clock budget (timeout). This module runs one
-//! cell under `catch_unwind`, optionally on a watchdog-supervised
-//! thread, and classifies the outcome; the engine quarantines a failed
-//! cell as a [`CellFailure`].
+//! cell runs exactly once. A failure is a bug (panic), a cell that
+//! outlives its wall-clock budget (timeout), or a cell thread the OS
+//! refused to start (spawn). This module runs one cell under
+//! `catch_unwind`, optionally on a watchdog-supervised thread, and
+//! classifies the outcome; the engine quarantines a failed cell as a
+//! [`CellFailure`].
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -24,6 +25,8 @@ pub enum FailureKind {
     /// The cell was still running when its wall-clock budget ran out;
     /// the watchdog abandoned its thread.
     Timeout,
+    /// The OS refused the thread the cell was to run on.
+    Spawn,
 }
 
 impl FailureKind {
@@ -32,6 +35,7 @@ impl FailureKind {
         match self {
             FailureKind::Panic => "panic",
             FailureKind::Timeout => "timeout",
+            FailureKind::Spawn => "spawn",
         }
     }
 
@@ -40,6 +44,7 @@ impl FailureKind {
         match s {
             "panic" => Some(FailureKind::Panic),
             "timeout" => Some(FailureKind::Timeout),
+            "spawn" => Some(FailureKind::Spawn),
             _ => None,
         }
     }
@@ -145,14 +150,17 @@ pub fn attempt_once(work: Work, policy: &ExecPolicy) -> Result<(CellData, u64), 
             let (tx, rx) = mpsc::channel::<std::thread::Result<CellData>>();
             // A plain (non-scoped) thread: if it wedges, the watchdog
             // abandons it and the process can still make progress / exit.
-            let handle = std::thread::Builder::new()
+            let spawned = std::thread::Builder::new()
                 .name("pva-bench-cell".into())
                 .spawn(move || {
                     // The watchdog may have given up on us; a dead
                     // receiver is fine.
                     let _ = tx.send(run_silenced(work));
-                })
-                .expect("spawn cell thread");
+                });
+            let handle = spawned.map_err(|e| AttemptError {
+                kind: FailureKind::Spawn,
+                message: format!("cannot start the cell thread: {e}"),
+            })?;
             match rx.recv_timeout(limit) {
                 Ok(result) => {
                     let _ = handle.join();
@@ -225,7 +233,7 @@ mod tests {
 
     #[test]
     fn failure_kind_identifiers_round_trip() {
-        for k in [FailureKind::Panic, FailureKind::Timeout] {
+        for k in [FailureKind::Panic, FailureKind::Timeout, FailureKind::Spawn] {
             assert_eq!(FailureKind::parse(k.as_str()), Some(k));
         }
         assert_eq!(FailureKind::parse("nope"), None);

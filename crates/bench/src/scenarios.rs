@@ -3,17 +3,20 @@
 //!
 //! Each scenario's `render` reproduces — byte for byte — the stdout of
 //! the per-figure binary it replaced (goldens are committed under
-//! `results/`). Heavy sweeps are decomposed into one cell per
-//! (kernel, stride, system)-shaped grid point so the engine can fan
-//! them across cores; analytic or cheap studies run as a single cell.
+//! `results/`). Heavy sweeps are decomposed into grid cells so the
+//! engine can fan them across cores; analytic or cheap studies run as a
+//! single cell. Figures 7–11, the headline claims and the CSV sweep are
+//! views of the §6.2 design space: their cells are shared (kernel,
+//! stride, alignment, system) points, each simulated once per batch.
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use cache::{run_reference_stream, CacheConfig, CacheSim, Reference};
 use kernels::{
-    run_cell, run_point, run_point_outcome, Alignment, Kernel, StreamKernel, SystemKind,
-    ARRAY_REGION, ELEMENTS, LINE_WORDS, STRIDES,
+    run_point, run_point_outcome, Alignment, Kernel, StreamKernel, SystemKind, ARRAY_REGION,
+    ELEMENTS, LINE_WORDS, STRIDES,
 };
 use memsys::{
     CachelineConfig, CachelineSerial, MemorySystem, PvaSystem, SerialGather, SerialGatherConfig,
@@ -170,31 +173,92 @@ fn chaos(spec: ChaosSpec) -> Scenario {
 }
 
 // ---------------------------------------------------------------------
+// The §6.2 grid: figures 7–11, the headline claims and the CSV sweep
+// are views of one design space of (kernel, stride, alignment, system)
+// points.
+
+/// One point of the §6.2 design space.
+type Point = (Kernel, u64, Alignment, SystemKind);
+
+/// The points of every (kernel, stride, system) combination, each over
+/// the five alignments.
+fn grid_points(kernels: &[Kernel], strides: &[u64], systems: &[SystemKind]) -> Vec<Point> {
+    let mut out = Vec::new();
+    for &k in kernels {
+        for &s in strides {
+            for &sys in systems {
+                out.extend(Alignment::ALL.map(|a| (k, s, a, sys)));
+            }
+        }
+    }
+    out
+}
+
+/// A point as a shared cell: cycles and bytes of the whole kernel. Its
+/// system and label identify it, so a batch simulates each point once
+/// however many views list it.
+fn point_cell((k, s, a, sys): Point) -> CellSpec {
+    let label = format!("{k}/s{s}/{a}");
+    let work = move || {
+        let o = run_point_outcome(k, s, a, sys);
+        CellData::cycles(o.cycles, o.bytes_transferred)
+    };
+    CellSpec {
+        shared: true,
+        ..CellSpec::new(sys.name(), label, work)
+    }
+}
+
+/// A view's cycles, looked up by point.
+struct Grid(HashMap<Point, u64>);
+
+impl Grid {
+    fn cycles(&self, k: Kernel, s: u64, a: Alignment, sys: SystemKind) -> u64 {
+        self.0[&(k, s, a, sys)]
+    }
+
+    /// Min and max cycles over the five alignments: the paired bars of
+    /// figures 7–10.
+    fn min_max(&self, k: Kernel, s: u64, sys: SystemKind) -> (u64, u64) {
+        let all = Alignment::ALL.map(|a| self.cycles(k, s, a, sys));
+        all.iter()
+            .fold((u64::MAX, 0), |(lo, hi), &c| (lo.min(c), hi.max(c)))
+    }
+
+    fn min(&self, k: Kernel, s: u64, sys: SystemKind) -> u64 {
+        self.min_max(k, s, sys).0
+    }
+}
+
+/// A golden view of the grid: `points` lists the cells it reads,
+/// `render` prints them.
+fn grid_view(
+    name: &'static str,
+    alias: &'static str,
+    title: &'static str,
+    points: impl Fn() -> Vec<Point> + Copy + Send + Sync + 'static,
+    render: impl Fn(&Grid) -> String + Send + Sync + 'static,
+) -> Scenario {
+    Scenario {
+        name,
+        alias,
+        title,
+        smoke: false,
+        golden: true,
+        build: Box::new(move || points().into_iter().map(point_cell).collect()),
+        render: Box::new(move |cells: &[CellData]| {
+            let cycles = cells.iter().map(|c| c.cycles);
+            render(&Grid(points().into_iter().zip(cycles).collect()))
+        }),
+    }
+}
+
 // Figures 7/8: stride sweeps.
 
 const FIG7_KERNELS: [Kernel; 3] = [Kernel::Copy, Kernel::Saxpy, Kernel::Scale];
 const FIG8_KERNELS: [Kernel; 3] = [Kernel::Swap, Kernel::Tridiag, Kernel::Vaxpy];
 
-fn stride_sweep_cells(kernels: &'static [Kernel]) -> Vec<CellSpec> {
-    let mut cells = Vec::new();
-    for &k in kernels {
-        for &s in &STRIDES {
-            for &sys in &SystemKind::ALL {
-                cells.push(CellSpec::new(
-                    sys.name(),
-                    format!("{}/s{}", k.name(), s),
-                    move || {
-                        let c = run_cell(k, s, sys);
-                        CellData::with_aux(c.min, c.bytes, vec![c.min, c.max])
-                    },
-                ));
-            }
-        }
-    }
-    cells
-}
-
-fn render_stride_sweep(title: &str, kernels: &[Kernel], cells: &[CellData]) -> String {
+fn render_stride_sweep(title: &str, kernels: &[Kernel], grid: &Grid) -> String {
     let mut t = Table::new(vec![
         "kernel",
         "stride",
@@ -205,118 +269,83 @@ fn render_stride_sweep(title: &str, kernels: &[Kernel], cells: &[CellData]) -> S
         "cacheline",
         "serial-gather",
     ]);
-    let mut idx = 0;
     for &k in kernels {
         for &s in &STRIDES {
-            let g = &cells[idx..idx + 4];
-            idx += 4;
-            t.row(vec![
-                k.name().to_string(),
-                s.to_string(),
-                g[0].aux[0].to_string(),
-                g[0].aux[1].to_string(),
-                g[1].aux[0].to_string(),
-                g[1].aux[1].to_string(),
-                g[2].aux[0].to_string(),
-                g[3].aux[0].to_string(),
-            ]);
+            let [(sdram_min, sdram_max), (sram_min, sram_max), (cl, _), (sg, _)] =
+                SystemKind::ALL.map(|sys| grid.min_max(k, s, sys));
+            let mut row = vec![k.to_string(), s.to_string()];
+            row.extend([sdram_min, sdram_max, sram_min, sram_max, cl, sg].map(|c| c.to_string()));
+            t.row(row);
         }
     }
     format!("{title}\n\n{t}\n")
 }
 
+fn stride_sweep(
+    (name, alias): (&'static str, &'static str),
+    title: &'static str,
+    heading: &'static str,
+    kernels: &'static [Kernel],
+) -> Scenario {
+    grid_view(
+        name,
+        alias,
+        title,
+        move || grid_points(kernels, &STRIDES, &SystemKind::ALL),
+        move |grid| render_stride_sweep(heading, kernels, grid),
+    )
+}
+
 fn fig7() -> Scenario {
-    Scenario {
-        name: "fig7_stride_sweep",
-        alias: "fig7",
-        title: "Figure 7: copy/saxpy/scale vs stride on the four systems",
-        smoke: false,
-        golden: true,
-        build: Box::new(|| stride_sweep_cells(&FIG7_KERNELS)),
-        render: Box::new(|cells: &[CellData]| {
-            render_stride_sweep(
-                "Figure 7 — cycles per 1024-element kernel, varying stride",
-                &FIG7_KERNELS,
-                cells,
-            )
-        }),
-    }
+    stride_sweep(
+        ("fig7_stride_sweep", "fig7"),
+        "Figure 7: copy/saxpy/scale vs stride on the four systems",
+        "Figure 7 — cycles per 1024-element kernel, varying stride",
+        &FIG7_KERNELS,
+    )
 }
 
 fn fig8() -> Scenario {
-    Scenario {
-        name: "fig8_stride_sweep",
-        alias: "fig8",
-        title: "Figure 8: swap/tridiag/vaxpy vs stride on the four systems",
-        smoke: false,
-        golden: true,
-        build: Box::new(|| stride_sweep_cells(&FIG8_KERNELS)),
-        render: Box::new(|cells: &[CellData]| {
-            render_stride_sweep(
-                "Figure 8 — cycles per 1024-element kernel, varying stride (continued)",
-                &FIG8_KERNELS,
-                cells,
-            )
-        }),
-    }
+    stride_sweep(
+        ("fig8_stride_sweep", "fig8"),
+        "Figure 8: swap/tridiag/vaxpy vs stride on the four systems",
+        "Figure 8 — cycles per 1024-element kernel, varying stride (continued)",
+        &FIG8_KERNELS,
+    )
 }
 
-// ---------------------------------------------------------------------
-// The full §6.2 sweep as CSV (one monolithic cell).
+// The full §6.2 sweep as CSV.
 
 fn full_sweep() -> Scenario {
-    Scenario {
-        name: "full_sweep",
-        alias: "",
-        title: "Full sweep: 8 patterns x 6 strides x 5 alignments x 4 systems, as CSV",
-        smoke: false,
-        golden: true,
-        build: Box::new(|| {
-            vec![CellSpec::new("all-systems", "960 points", || {
-                let points = kernels::full_sweep(&SystemKind::ALL);
-                let mut csv = String::from("kernel,stride,alignment,system,cycles\n");
-                for p in &points {
-                    let _ = writeln!(
-                        csv,
-                        "{},{},{},{},{}",
-                        p.kernel, p.stride, p.alignment, p.system, p.cycles
-                    );
+    grid_view(
+        "full_sweep",
+        "",
+        "Full sweep: 8 patterns x 6 strides x 5 alignments x 4 systems, as CSV",
+        || grid_points(&Kernel::ALL, &STRIDES, &SystemKind::ALL),
+        |grid| {
+            let mut csv = String::from("kernel,stride,alignment,system,cycles\n");
+            for k in Kernel::ALL {
+                for s in STRIDES {
+                    for a in Alignment::ALL {
+                        for sys in SystemKind::ALL {
+                            let cycles = grid.cycles(k, s, a, sys);
+                            let _ = writeln!(csv, "{k},{s},{a},{},{cycles}", sys.name());
+                        }
+                    }
                 }
-                CellData::text(points.iter().map(|p| p.cycles).sum(), 0, csv)
-            })]
-        }),
-        render: Box::new(|cells: &[CellData]| cells[0].text.clone()),
-    }
+            }
+            csv
+        },
+    )
 }
 
-// ---------------------------------------------------------------------
 // Figures 9/10: fixed-stride comparisons.
 
 const FIG9_STRIDES: [u64; 2] = [1, 4];
 const FIG10_STRIDES: [u64; 3] = [8, 16, 19];
 
-fn fixed_stride_cells(strides: &'static [u64]) -> Vec<CellSpec> {
-    let mut cells = Vec::new();
-    for &s in strides {
-        for &k in &Kernel::ALL {
-            for &sys in &SystemKind::ALL {
-                cells.push(CellSpec::new(
-                    sys.name(),
-                    format!("{}/s{}", k.name(), s),
-                    move || {
-                        let c = run_cell(k, s, sys);
-                        CellData::cycles(c.min, c.bytes)
-                    },
-                ));
-            }
-        }
-    }
-    cells
-}
-
-fn render_fixed_stride(figure: u64, strides: &[u64], cells: &[CellData]) -> String {
+fn render_fixed_stride(figure: u64, strides: &[u64], grid: &Grid) -> String {
     let mut out = String::new();
-    let mut idx = 0;
     for &s in strides {
         let mut t = Table::new(vec![
             "kernel",
@@ -327,86 +356,73 @@ fn render_fixed_stride(figure: u64, strides: &[u64], cells: &[CellData]) -> Stri
             "serial-gather",
             "sg % of pva",
         ]);
-        for &k in &Kernel::ALL {
-            let g = &cells[idx..idx + 4];
-            idx += 4;
-            let pva_min = g[0].cycles;
-            let pct = |c: u64| format!("{:.0}%", 100.0 * c as f64 / pva_min as f64);
+        for k in Kernel::ALL {
+            let [pva, sram, cl, sg] = SystemKind::ALL.map(|sys| grid.min(k, s, sys));
+            let pct = |c: u64| format!("{:.0}%", 100.0 * c as f64 / pva as f64);
             t.row(vec![
-                k.name().to_string(),
-                g[0].cycles.to_string(),
-                g[1].cycles.to_string(),
-                g[2].cycles.to_string(),
-                pct(g[2].cycles),
-                g[3].cycles.to_string(),
-                pct(g[3].cycles),
+                k.to_string(),
+                pva.to_string(),
+                sram.to_string(),
+                cl.to_string(),
+                pct(cl),
+                sg.to_string(),
+                pct(sg),
             ]);
         }
-        let _ = writeln!(
-            out,
-            "Figure {figure} — all kernels at stride {s} (cycles, min over alignments)\n"
-        );
-        let _ = writeln!(out, "{t}");
+        let heading = format!("Figure {figure} — all kernels at stride {s}");
+        let _ = writeln!(out, "{heading} (cycles, min over alignments)\n\n{t}");
     }
     out
 }
 
 fn fig9() -> Scenario {
-    Scenario {
-        name: "fig9_fixed_stride",
-        alias: "fig9",
-        title: "Figure 9: all kernels at strides 1 and 4",
-        smoke: false,
-        golden: true,
-        build: Box::new(|| fixed_stride_cells(&FIG9_STRIDES)),
-        render: Box::new(|cells: &[CellData]| render_fixed_stride(9, &FIG9_STRIDES, cells)),
-    }
+    grid_view(
+        "fig9_fixed_stride",
+        "fig9",
+        "Figure 9: all kernels at strides 1 and 4",
+        || grid_points(&Kernel::ALL, &FIG9_STRIDES, &SystemKind::ALL),
+        |grid| render_fixed_stride(9, &FIG9_STRIDES, grid),
+    )
 }
 
 fn fig10() -> Scenario {
-    Scenario {
-        name: "fig10_fixed_stride",
-        alias: "fig10",
-        title: "Figure 10: all kernels at strides 8, 16 and 19",
-        smoke: false,
-        golden: true,
-        build: Box::new(|| fixed_stride_cells(&FIG10_STRIDES)),
-        render: Box::new(|cells: &[CellData]| render_fixed_stride(10, &FIG10_STRIDES, cells)),
-    }
+    grid_view(
+        "fig10_fixed_stride",
+        "fig10",
+        "Figure 10: all kernels at strides 8, 16 and 19",
+        || grid_points(&Kernel::ALL, &FIG10_STRIDES, &SystemKind::ALL),
+        |grid| render_fixed_stride(10, &FIG10_STRIDES, grid),
+    )
 }
 
-// ---------------------------------------------------------------------
 // Figure 11: vaxpy alignment detail, SDRAM vs SRAM.
 
-fn vaxpy_detail_cells() -> Vec<CellSpec> {
-    let mut cells = Vec::new();
-    for &stride in &STRIDES {
+const FIG11_SYSTEMS: [SystemKind; 2] = [SystemKind::PvaSdram, SystemKind::PvaSram];
+
+/// Figure 11's rows: SDRAM/SRAM cycle pairs in (stride, alignment)
+/// order, and the largest SDRAM/SRAM ratio (at least 1).
+fn vaxpy_detail(grid: &Grid) -> (Vec<(u64, Alignment, u64, u64)>, f64) {
+    let mut rows = Vec::new();
+    let mut worst = 1.0f64;
+    for s in STRIDES {
         for a in Alignment::ALL {
-            for sys in [SystemKind::PvaSdram, SystemKind::PvaSram] {
-                cells.push(CellSpec::new(
-                    sys.name(),
-                    format!("s{}/{}", stride, a.name()),
-                    move || {
-                        let o = run_point_outcome(Kernel::Vaxpy, stride, a, sys);
-                        CellData::cycles(o.cycles, o.bytes_transferred)
-                    },
-                ));
-            }
+            let [sdram, sram] = FIG11_SYSTEMS.map(|sys| grid.cycles(Kernel::Vaxpy, s, a, sys));
+            worst = worst.max(sdram as f64 / sram as f64);
+            rows.push((s, a, sdram, sram));
         }
     }
-    cells
+    (rows, worst)
 }
 
 fn fig11() -> Scenario {
-    Scenario {
-        name: "fig11_vaxpy_detail",
-        alias: "fig11",
-        title: "Figure 11: vaxpy alignment sensitivity, PVA-SDRAM vs PVA-SRAM",
-        smoke: false,
-        golden: true,
-        build: Box::new(vaxpy_detail_cells),
-        render: Box::new(|cells: &[CellData]| {
-            let base = cells[0].cycles; // stride 1, first alignment, SDRAM
+    grid_view(
+        "fig11_vaxpy_detail",
+        "fig11",
+        "Figure 11: vaxpy alignment sensitivity, PVA-SDRAM vs PVA-SRAM",
+        || grid_points(&[Kernel::Vaxpy], &STRIDES, &FIG11_SYSTEMS),
+        |grid| {
+            let (rows, worst) = vaxpy_detail(grid);
+            let base = rows[0].2; // stride 1, first alignment, SDRAM
             let mut t = Table::new(vec![
                 "stride",
                 "alignment",
@@ -415,42 +431,25 @@ fn fig11() -> Scenario {
                 "pva-sram",
                 "sdram/sram",
             ]);
-            let mut worst = 1.0f64;
-            let mut idx = 0;
-            for &stride in &STRIDES {
-                for a in Alignment::ALL {
-                    let sdram = cells[idx].cycles;
-                    let sram = cells[idx + 1].cycles;
-                    idx += 2;
-                    let ratio = sdram as f64 / sram as f64;
-                    worst = worst.max(ratio);
-                    t.row(vec![
-                        stride.to_string(),
-                        a.name().to_string(),
-                        sdram.to_string(),
-                        format!("{:.0}%", 100.0 * sdram as f64 / base as f64),
-                        sram.to_string(),
-                        format!("{ratio:.3}"),
-                    ]);
-                }
+            for (stride, a, sdram, sram) in rows {
+                t.row(vec![
+                    stride.to_string(),
+                    a.to_string(),
+                    sdram.to_string(),
+                    format!("{:.0}%", 100.0 * sdram as f64 / base as f64),
+                    sram.to_string(),
+                    format!("{:.3}", sdram as f64 / sram as f64),
+                ]);
             }
-            let mut out = String::new();
-            let _ = writeln!(
-                out,
-                "Figure 11 — vaxpy on PVA-SDRAM vs PVA-SRAM across alignments\n"
-            );
-            let _ = writeln!(out, "{t}");
-            let _ = writeln!(
-                out,
-                "worst-case SDRAM/SRAM ratio: {worst:.3}  (paper: at most ~1.15, \
-                 with two cases below 1.0 from an implementation artifact)"
-            );
-            out
-        }),
-    }
+            format!(
+                "Figure 11 — vaxpy on PVA-SDRAM vs PVA-SRAM across alignments\n\n{t}\n\
+                 worst-case SDRAM/SRAM ratio: {worst:.3}  (paper: at most ~1.15, \
+                 with two cases below 1.0 from an implementation artifact)\n"
+            )
+        },
+    )
 }
 
-// ---------------------------------------------------------------------
 // Headline claims.
 
 const HEADLINE_SYSTEMS: [SystemKind; 3] = [
@@ -460,42 +459,22 @@ const HEADLINE_SYSTEMS: [SystemKind; 3] = [
 ];
 
 fn headline() -> Scenario {
-    Scenario {
-        name: "headline_speedups",
-        alias: "headline",
-        title: "The abstract's headline claims, recomputed on the full design space",
-        smoke: false,
-        golden: true,
-        build: Box::new(|| {
-            let mut cells = Vec::new();
-            for &k in &Kernel::ALL {
-                for &s in &STRIDES {
-                    for &sys in &HEADLINE_SYSTEMS {
-                        cells.push(CellSpec::new(
-                            sys.name(),
-                            format!("{}/s{}", k.name(), s),
-                            move || {
-                                let c = run_cell(k, s, sys);
-                                CellData::cycles(c.min, c.bytes)
-                            },
-                        ));
-                    }
-                }
-            }
-            cells.extend(vaxpy_detail_cells());
-            cells
-        }),
-        render: Box::new(|cells: &[CellData]| {
+    grid_view(
+        "headline_speedups",
+        "headline",
+        "The abstract's headline claims, recomputed on the full design space",
+        || {
+            let mut points = grid_points(&Kernel::ALL, &STRIDES, &HEADLINE_SYSTEMS);
+            points.extend(grid_points(&[Kernel::Vaxpy], &STRIDES, &FIG11_SYSTEMS));
+            points
+        },
+        |grid| {
             let mut vs_cl: (f64, &'static str, u64) = (0.0, "", 0);
             let mut vs_sg: (f64, &'static str, u64) = (0.0, "", 0);
             let mut parity = f64::MAX;
-            let mut idx = 0;
-            for &k in &Kernel::ALL {
-                for &s in &STRIDES {
-                    let pva = cells[idx].cycles as f64;
-                    let cl = cells[idx + 1].cycles as f64;
-                    let sg = cells[idx + 2].cycles as f64;
-                    idx += 3;
+            for k in Kernel::ALL {
+                for s in STRIDES {
+                    let [pva, cl, sg] = HEADLINE_SYSTEMS.map(|sys| grid.min(k, s, sys) as f64);
                     if cl / pva > vs_cl.0 {
                         vs_cl = (cl / pva, k.name(), s);
                     }
@@ -507,38 +486,40 @@ fn headline() -> Scenario {
                     }
                 }
             }
-            let mut gap: f64 = 1.0;
-            while idx < cells.len() {
-                gap = gap.max(cells[idx].cycles as f64 / cells[idx + 1].cycles as f64);
-                idx += 2;
+            let (_, gap) = vaxpy_detail(grid);
+            let mut out = String::from("Headline claims, recomputed on this reproduction\n\n");
+            let speedup = |(x, k, s): (f64, &str, u64)| format!("{x:.1}x  (at {k} stride {s})");
+            for (claim, value, paper) in [
+                (
+                    "max speedup vs cache-line serial system",
+                    speedup(vs_cl),
+                    "32.8x",
+                ),
+                (
+                    "max speedup vs gathering serial system",
+                    speedup(vs_sg),
+                    "3.3x",
+                ),
+                (
+                    "worst unit-stride cacheline/pva ratio",
+                    format!("{parity:.2}  (>= ~0.9 means line fills unhurt)"),
+                    "1.00-1.09 (100%-109%)",
+                ),
+                (
+                    "worst-case SDRAM/SRAM gap (fig. 11)",
+                    format!("{gap:.3}"),
+                    "<= ~1.15",
+                ),
+            ] {
+                let _ = writeln!(
+                    out,
+                    "{claim:<40}: {value}\n{:<41}: {paper}",
+                    "  paper claim"
+                );
             }
-            let mut out = String::new();
-            let _ = writeln!(out, "Headline claims, recomputed on this reproduction\n");
-            let _ = writeln!(
-                out,
-                "max speedup vs cache-line serial system : {:.1}x  (at {} stride {})",
-                vs_cl.0, vs_cl.1, vs_cl.2
-            );
-            let _ = writeln!(out, "  paper claim                            : 32.8x");
-            let _ = writeln!(
-                out,
-                "max speedup vs gathering serial system  : {:.1}x  (at {} stride {})",
-                vs_sg.0, vs_sg.1, vs_sg.2
-            );
-            let _ = writeln!(out, "  paper claim                            : 3.3x");
-            let _ = writeln!(
-                out,
-                "worst unit-stride cacheline/pva ratio   : {parity:.2}  (>= ~0.9 means line fills unhurt)"
-            );
-            let _ = writeln!(
-                out,
-                "  paper claim                            : 1.00-1.09 (100%-109%)"
-            );
-            let _ = writeln!(out, "worst-case SDRAM/SRAM gap (fig. 11)     : {gap:.3}");
-            let _ = writeln!(out, "  paper claim                            : <= ~1.15");
             out
-        }),
-    }
+        },
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -2208,6 +2189,29 @@ mod tests {
             cells.len(),
             TECHSWEEP_DEFAULT.len() * FIG7_KERNELS.len() * TECHSWEEP_STRIDES.len()
         );
+    }
+
+    #[test]
+    fn grid_views_list_3320_points_of_which_960_are_distinct() {
+        let views = [
+            "fig7",
+            "fig8",
+            "fig9",
+            "fig10",
+            "fig11",
+            "headline",
+            "full_sweep",
+        ];
+        let cells: Vec<Vec<CellSpec>> = views.map(|v| (find(v, None).unwrap().build)()).into();
+        let listed: Vec<usize> = cells.iter().map(Vec::len).collect();
+        assert_eq!(listed, [360, 360, 320, 480, 60, 780, 960]);
+        let shared: std::collections::HashSet<_> = cells
+            .iter()
+            .flatten()
+            .filter(|c| c.shared)
+            .map(|c| (&c.system, &c.label))
+            .collect();
+        assert_eq!(shared.len(), 960);
     }
 
     #[test]

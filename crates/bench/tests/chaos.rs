@@ -296,12 +296,14 @@ fn hung_cell_is_quarantined_by_the_watchdog_timeout() {
 
 #[test]
 fn documented_exit_codes_for_usage_and_schema_errors() {
-    // Usage errors -> 2: unknown flags (`--retries` among them) and
-    // --cell-timeout values that are too large for a `Duration`,
+    // Usage errors -> 2: unknown flags (`--retries` among them),
+    // --jobs above its cap of 256 (checked before any thread starts),
+    // and --cell-timeout values that are too large for a `Duration`,
     // negative, infinite or not a number.
-    let usage_errors: [&[&str]; 6] = [
+    let usage_errors: [&[&str]; 7] = [
         &["--definitely-not-a-flag"],
         &["table1", "--retries", "1"],
+        &["table1", "--jobs", "257"],
         &["table1", "--cell-timeout", "1e20"],
         &["table1", "--cell-timeout", "-1"],
         &["table1", "--cell-timeout", "inf"],

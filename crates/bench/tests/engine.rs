@@ -1,6 +1,7 @@
 //! Engine integration tests: golden rendering for `report::Table`,
 //! JSON record round-trips, determinism across worker counts,
-//! byte-identity of scenario output against the committed goldens, and
+//! byte-identity of scenario output against the committed goldens (the
+//! §6.2 figure views included, with each grid point simulated once), and
 //! journal resume refusing cells built for another device.
 
 use pva_bench::engine::{
@@ -108,6 +109,14 @@ fn cheap_scenarios_match_committed_goldens() {
         "ext_bitrev",
         "cpu_sensitivity",
         "ext_cache_pollution",
+        // The views of the §6.2 grid: 3,320 listings of 960 points.
+        "fig7_stride_sweep",
+        "fig8_stride_sweep",
+        "fig9_fixed_stride",
+        "fig10_fixed_stride",
+        "fig11_vaxpy_detail",
+        "headline_speedups",
+        "full_sweep",
     ]
     .iter()
     .map(|name| (must_find(name), format!("{results}/{name}.txt")))
@@ -117,9 +126,14 @@ fn cheap_scenarios_match_committed_goldens() {
         let s = find("techsweep", Some(p)).expect("techsweep registered");
         (s, format!("{results}/techsweep.{}.txt", p.name()))
     }));
-    // One batch, so the pool stays busy across scenario boundaries.
+    // One batch, so the pool stays busy across scenario boundaries and
+    // each grid point is simulated once.
     let refs: Vec<&Scenario> = checks.iter().map(|(s, _)| s).collect();
-    for ((_, path), report) in checks.iter().zip(run_ok(&refs, 4)) {
+    let run = run_scenarios_checked(&refs, &ExecConfig::with_jobs(4)).expect("engine run");
+    assert_eq!(run.failed_cells, 0, "no cell may fail");
+    let listed: usize = run.reports.iter().map(|r| r.record.cells.len()).sum();
+    assert_eq!(listed - run.simulated_cells, 3320 - 960);
+    for ((_, path), report) in checks.iter().zip(run.reports) {
         let golden = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("golden {path}: {e}"));
         assert_eq!(report.text, golden, "{} drifted from {path}", report.name);
     }

@@ -62,33 +62,6 @@ impl SystemKind {
     }
 }
 
-/// One measured point of the design space.
-#[derive(Debug, Clone)]
-pub struct DataPoint {
-    /// Kernel name.
-    pub kernel: &'static str,
-    /// Element stride.
-    pub stride: u64,
-    /// Alignment preset name.
-    pub alignment: &'static str,
-    /// Memory system name.
-    pub system: &'static str,
-    /// Total cycles for the whole kernel (1024 elements per array).
-    pub cycles: u64,
-}
-
-/// Min/max cycles of a (kernel, stride, system) cell over the five
-/// alignments — the paired bars of figures 7–10.
-#[derive(Debug, Clone, Copy)]
-pub struct CellResult {
-    /// Fastest alignment.
-    pub min: u64,
-    /// Slowest alignment.
-    pub max: u64,
-    /// Bytes moved by the fastest alignment's run.
-    pub bytes: u64,
-}
-
 /// Runs one data point, returning the full memory-system outcome
 /// (cycles plus bytes moved and command statistics).
 pub fn run_point_outcome(
@@ -107,117 +80,31 @@ pub fn run_point(kernel: Kernel, stride: u64, alignment: Alignment, system: Syst
     run_point_outcome(kernel, stride, alignment, system).cycles
 }
 
-/// Runs a (kernel, stride, system) cell over all five alignments.
-pub fn run_cell(kernel: Kernel, stride: u64, system: SystemKind) -> CellResult {
-    let mut min = u64::MAX;
-    let mut max = 0;
-    let mut bytes = 0;
-    for a in Alignment::ALL {
-        let o = run_point_outcome(kernel, stride, a, system);
-        if o.cycles < min {
-            min = o.cycles;
-            bytes = o.bytes_transferred;
-        }
-        max = max.max(o.cycles);
-    }
-    CellResult { min, max, bytes }
-}
-
-/// The full 240-points-per-system sweep of §6.2.
-pub fn full_sweep(systems: &[SystemKind]) -> Vec<DataPoint> {
-    let mut out = Vec::new();
-    for kernel in Kernel::ALL {
-        for &stride in &STRIDES {
-            for alignment in Alignment::ALL {
-                for &system in systems {
-                    out.push(DataPoint {
-                        kernel: kernel.name(),
-                        stride,
-                        alignment: alignment.name(),
-                        system: system.name(),
-                        cycles: run_point(kernel, stride, alignment, system),
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn point_counts_match_section_6_2() {
-        // 8 patterns x 6 strides x 5 alignments = 240 per system.
-        assert_eq!(
-            Kernel::ALL.len() * STRIDES.len() * Alignment::ALL.len(),
-            240
-        );
-    }
-
-    #[test]
     fn scale_is_alignment_insensitive_on_pva() {
         // §6.3.1: scale touches a single vector, so relative alignment
         // cannot matter.
-        let cell = run_cell(Kernel::Scale, 4, SystemKind::PvaSdram);
-        assert_eq!(cell.min, cell.max);
+        let cycles = Alignment::ALL.map(|a| run_point(Kernel::Scale, 4, a, SystemKind::PvaSdram));
+        assert!(cycles.iter().all(|&c| c == cycles[0]), "{cycles:?}");
     }
 
     #[test]
     fn cacheline_system_degrades_with_stride() {
-        let s1 = run_point(
-            Kernel::Copy,
-            1,
-            Alignment::Coincident,
-            SystemKind::CachelineSerial,
-        );
-        let s4 = run_point(
-            Kernel::Copy,
-            4,
-            Alignment::Coincident,
-            SystemKind::CachelineSerial,
-        );
-        let s16 = run_point(
-            Kernel::Copy,
-            16,
-            Alignment::Coincident,
-            SystemKind::CachelineSerial,
-        );
+        let copy = |s| {
+            run_point(
+                Kernel::Copy,
+                s,
+                Alignment::Coincident,
+                SystemKind::CachelineSerial,
+            )
+        };
+        let (s1, s4, s16) = (copy(1), copy(4), copy(16));
         assert!(s1 < s4 && s4 < s16);
         assert_eq!(s4, 4 * s1);
         assert_eq!(s16, 16 * s1);
-    }
-
-    #[test]
-    fn pva_flat_across_parallel_strides() {
-        // The PVA's defining property: stride 19 costs about the same as
-        // stride 1 (§6.3.1).
-        let s1 = run_cell(Kernel::Scale, 1, SystemKind::PvaSdram);
-        let s19 = run_cell(Kernel::Scale, 19, SystemKind::PvaSdram);
-        assert!(
-            (s19.min as f64) < s1.min as f64 * 1.6,
-            "stride19 {} vs stride1 {}",
-            s19.min,
-            s1.min
-        );
-    }
-
-    #[test]
-    fn run_point_is_deterministic() {
-        let a = run_point(
-            Kernel::Vaxpy,
-            8,
-            Alignment::RowStagger,
-            SystemKind::PvaSdram,
-        );
-        let b = run_point(
-            Kernel::Vaxpy,
-            8,
-            Alignment::RowStagger,
-            SystemKind::PvaSdram,
-        );
-        assert_eq!(a, b);
     }
 }

@@ -6,12 +6,12 @@
 //! system behind figures 7–11.
 //!
 //! ```
-//! use kernels::{run_cell, Kernel, SystemKind};
+//! use kernels::{run_point, Alignment, Kernel, SystemKind};
 //!
-//! // One (kernel, stride, system) cell: min/max cycles over the five
-//! // relative alignments — one paired bar of figure 7.
-//! let cell = run_cell(Kernel::Copy, 4, SystemKind::PvaSdram);
-//! assert!(cell.min <= cell.max);
+//! // One (kernel, stride, system) cell over the five relative
+//! // alignments: its min and max are one paired bar of figure 7.
+//! let cycles = Alignment::ALL.map(|a| run_point(Kernel::Copy, 4, a, SystemKind::PvaSdram));
+//! assert!(cycles.iter().min() <= cycles.iter().max());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -24,8 +24,7 @@ mod stream;
 
 pub use alignment::Alignment;
 pub use experiment::{
-    full_sweep, run_cell, run_point, run_point_outcome, CellResult, DataPoint, SystemKind,
-    ARRAY_REGION, ELEMENTS, LINE_WORDS, STRIDES,
+    run_point, run_point_outcome, SystemKind, ARRAY_REGION, ELEMENTS, LINE_WORDS, STRIDES,
 };
 pub use kernel::{Access, ArrayIndex, Kernel};
 pub use stream::StreamKernel;

@@ -2,9 +2,19 @@
 //! driven through the `pva` facade.
 
 use pva::core::{split_vector, MmcTlb, Superpage, Vector};
-use pva::kernels::{run_cell, run_point, Alignment, Kernel, SystemKind, STRIDES};
+use pva::kernels::{run_point, Alignment, Kernel, SystemKind, STRIDES};
 use pva::memsys::TraceOp;
 use pva::sim::{HostRequest, PvaConfig, PvaUnit};
+
+/// Fewest cycles of a (kernel, stride, system) cell over the five
+/// relative alignments: one bar of figures 7–10.
+fn min_cycles(kernel: Kernel, stride: u64, system: SystemKind) -> u64 {
+    Alignment::ALL
+        .into_iter()
+        .map(|a| run_point(kernel, stride, a, system))
+        .min()
+        .unwrap()
+}
 
 #[test]
 fn facade_reexports_compose() {
@@ -33,8 +43,8 @@ fn pva_wins_grow_with_stride_against_cacheline() {
     let mut last_ratio = 0.0;
     for &stride in &STRIDES[..5] {
         // strides 1..16 (19 wraps back to fast)
-        let pva = run_cell(Kernel::Saxpy, stride, SystemKind::PvaSdram).min as f64;
-        let cls = run_cell(Kernel::Saxpy, stride, SystemKind::CachelineSerial).min as f64;
+        let pva = min_cycles(Kernel::Saxpy, stride, SystemKind::PvaSdram) as f64;
+        let cls = min_cycles(Kernel::Saxpy, stride, SystemKind::CachelineSerial) as f64;
         let ratio = cls / pva;
         assert!(
             ratio >= last_ratio * 0.95,
@@ -48,9 +58,9 @@ fn pva_wins_grow_with_stride_against_cacheline() {
 fn prime_stride_restores_parallelism() {
     // Stride 19 performance snaps back to near-unit-stride (§6.3.1),
     // while stride 16 is the single-bank worst case.
-    let s1 = run_cell(Kernel::Scale, 1, SystemKind::PvaSdram).min;
-    let s16 = run_cell(Kernel::Scale, 16, SystemKind::PvaSdram).min;
-    let s19 = run_cell(Kernel::Scale, 19, SystemKind::PvaSdram).min;
+    let s1 = min_cycles(Kernel::Scale, 1, SystemKind::PvaSdram);
+    let s16 = min_cycles(Kernel::Scale, 16, SystemKind::PvaSdram);
+    let s19 = min_cycles(Kernel::Scale, 19, SystemKind::PvaSdram);
     assert!(s19 < s16, "prime stride beats power-of-two: {s19} vs {s16}");
     assert!((s19 as f64) < s1 as f64 * 1.6, "stride 19 near stride 1");
 }
@@ -63,8 +73,8 @@ fn unrolling_helps_slightly_on_pva() {
         (Kernel::Copy, Kernel::Copy2),
         (Kernel::Scale, Kernel::Scale2),
     ] {
-        let p = run_cell(plain, 4, SystemKind::PvaSdram).min as f64;
-        let u = run_cell(unrolled, 4, SystemKind::PvaSdram).min as f64;
+        let p = min_cycles(plain, 4, SystemKind::PvaSdram) as f64;
+        let u = min_cycles(unrolled, 4, SystemKind::PvaSdram) as f64;
         assert!(
             u <= p * 1.05,
             "{}: unrolled {u} vs plain {p}",

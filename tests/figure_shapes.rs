@@ -2,21 +2,31 @@
 //! *shape* is asserted so regressions in the model surface as test
 //! failures, not silently wrong writeups.
 
-use pva::kernels::{run_cell, Kernel, SystemKind};
+use pva::kernels::{run_point, Alignment, Kernel, SystemKind};
+
+/// Fewest cycles of a (kernel, stride, system) cell over the five
+/// relative alignments: one bar of figures 7–10.
+fn min_cycles(kernel: Kernel, stride: u64, system: SystemKind) -> u64 {
+    Alignment::ALL
+        .into_iter()
+        .map(|a| run_point(kernel, stride, a, system))
+        .min()
+        .unwrap()
+}
 
 /// Figure 7/8 shape: PVA flat across strides (prime included); the
 /// cache-line system's cost proportional to stride.
 #[test]
 fn fig7_8_shapes() {
     for kernel in [Kernel::Copy, Kernel::Vaxpy] {
-        let pva_1 = run_cell(kernel, 1, SystemKind::PvaSdram).min as f64;
-        let pva_19 = run_cell(kernel, 19, SystemKind::PvaSdram).min as f64;
+        let pva_1 = min_cycles(kernel, 1, SystemKind::PvaSdram) as f64;
+        let pva_19 = min_cycles(kernel, 19, SystemKind::PvaSdram) as f64;
         assert!(
             (pva_19 / pva_1) < 1.1,
             "{kernel}: PVA must be flat out to prime strides"
         );
-        let cl_1 = run_cell(kernel, 1, SystemKind::CachelineSerial).min as f64;
-        let cl_16 = run_cell(kernel, 16, SystemKind::CachelineSerial).min as f64;
+        let cl_1 = min_cycles(kernel, 1, SystemKind::CachelineSerial) as f64;
+        let cl_16 = min_cycles(kernel, 16, SystemKind::CachelineSerial) as f64;
         assert!(
             (15.0..=17.0).contains(&(cl_16 / cl_1)),
             "{kernel}: line fills scale with stride"
@@ -29,8 +39,8 @@ fn fig7_8_shapes() {
 #[test]
 fn fig9_unit_stride_parity() {
     for kernel in Kernel::ALL {
-        let pva = run_cell(kernel, 1, SystemKind::PvaSdram).min as f64;
-        let cl = run_cell(kernel, 1, SystemKind::CachelineSerial).min as f64;
+        let pva = min_cycles(kernel, 1, SystemKind::PvaSdram) as f64;
+        let cl = min_cycles(kernel, 1, SystemKind::CachelineSerial) as f64;
         let ratio = cl / pva;
         assert!(
             (0.9..=1.4).contains(&ratio),
@@ -45,18 +55,18 @@ fn fig9_unit_stride_parity() {
 #[test]
 fn fig10_prime_stride_blowup_and_crossover() {
     for kernel in Kernel::ALL {
-        let pva = run_cell(kernel, 19, SystemKind::PvaSdram).min as f64;
-        let cl = run_cell(kernel, 19, SystemKind::CachelineSerial).min as f64;
+        let pva = min_cycles(kernel, 19, SystemKind::PvaSdram) as f64;
+        let cl = min_cycles(kernel, 19, SystemKind::CachelineSerial) as f64;
         assert!(cl / pva > 15.0, "{kernel}: stride-19 ratio {:.1}", cl / pva);
     }
-    let pva16 = run_cell(Kernel::Scale, 16, SystemKind::PvaSdram).min as f64;
-    let sg16 = run_cell(Kernel::Scale, 16, SystemKind::SerialGather).min as f64;
+    let pva16 = min_cycles(Kernel::Scale, 16, SystemKind::PvaSdram) as f64;
+    let sg16 = min_cycles(Kernel::Scale, 16, SystemKind::SerialGather) as f64;
     assert!(
         sg16 / pva16 < 1.3,
         "serial gather nearly catches the PVA at the single-bank stride"
     );
-    let pva19 = run_cell(Kernel::Scale, 19, SystemKind::PvaSdram).min as f64;
-    let sg19 = run_cell(Kernel::Scale, 19, SystemKind::SerialGather).min as f64;
+    let pva19 = min_cycles(Kernel::Scale, 19, SystemKind::PvaSdram) as f64;
+    let sg19 = min_cycles(Kernel::Scale, 19, SystemKind::SerialGather) as f64;
     assert!(sg19 / pva19 > 1.8, "but loses where banks parallelize");
 }
 
@@ -64,7 +74,7 @@ fn fig10_prime_stride_blowup_and_crossover() {
 /// across every stride and alignment (the latency-hiding claim).
 #[test]
 fn fig11_sram_gap() {
-    use pva::kernels::{run_point, Alignment, STRIDES};
+    use pva::kernels::STRIDES;
     let mut worst: f64 = 1.0;
     for &s in &STRIDES {
         for a in Alignment::ALL {
@@ -82,10 +92,10 @@ fn fig11_sram_gap() {
 /// The abstract's headline directions.
 #[test]
 fn headline_directions() {
-    let pva = run_cell(Kernel::Copy, 19, SystemKind::PvaSdram).min as f64;
-    let cl = run_cell(Kernel::Copy, 19, SystemKind::CachelineSerial).min as f64;
-    let sg = run_cell(Kernel::Copy, 1, SystemKind::SerialGather).min as f64;
-    let pva1 = run_cell(Kernel::Copy, 1, SystemKind::PvaSdram).min as f64;
+    let pva = min_cycles(Kernel::Copy, 19, SystemKind::PvaSdram) as f64;
+    let cl = min_cycles(Kernel::Copy, 19, SystemKind::CachelineSerial) as f64;
+    let sg = min_cycles(Kernel::Copy, 1, SystemKind::SerialGather) as f64;
+    let pva1 = min_cycles(Kernel::Copy, 1, SystemKind::PvaSdram) as f64;
     assert!(
         cl / pva > 20.0,
         "vs cache-line: {:.1}x (paper 32.8x)",
