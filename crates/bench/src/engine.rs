@@ -252,13 +252,12 @@ impl RunRecord {
     pub fn from_json(text: &str) -> Result<RunRecord, String> {
         let v = json::parse(text).map_err(|e| e.to_string())?;
         let field = |k: &str| v.get(k).ok_or_else(|| format!("missing field '{k}'"));
-        let text_field = |val: &Value, k: &str| {
-            val.get(k)
-                .and_then(Value::as_str)
+        let str_field = |k: &str| {
+            field(k)?
+                .as_str()
                 .map(str::to_string)
-                .ok_or_else(|| format!("field '{k}' is missing or not a string"))
+                .ok_or_else(|| format!("field '{k}' is not a string"))
         };
-        let str_field = |k: &str| text_field(&v, k);
         let u64_field = |val: &Value, k: &str| {
             val.get(k)
                 .and_then(Value::as_u64)
@@ -276,8 +275,16 @@ impl RunRecord {
             .iter()
             .map(|c| {
                 Ok(CellRecord {
-                    system: text_field(c, "system")?,
-                    label: text_field(c, "label")?,
+                    system: c
+                        .get("system")
+                        .and_then(Value::as_str)
+                        .ok_or("cell field 'system' is not a string")?
+                        .to_string(),
+                    label: c
+                        .get("label")
+                        .and_then(Value::as_str)
+                        .ok_or("cell field 'label' is not a string")?
+                        .to_string(),
                     cycles: u64_field(c, "cycles")?,
                     bytes: u64_field(c, "bytes")?,
                     wall_ns: u64_field(c, "wall_ns")?,
@@ -289,13 +296,28 @@ impl RunRecord {
             Some(Value::Arr(items)) => items
                 .iter()
                 .map(|f| {
-                    let kind = text_field(f, "kind")?;
+                    let kind_str = f
+                        .get("kind")
+                        .and_then(Value::as_str)
+                        .ok_or("failure field 'kind' is not a string")?;
                     Ok(CellFailure {
-                        system: text_field(f, "system")?,
-                        label: text_field(f, "label")?,
-                        kind: FailureKind::parse(&kind)
-                            .ok_or_else(|| format!("unknown failure kind '{kind}'"))?,
-                        message: text_field(f, "message")?,
+                        system: f
+                            .get("system")
+                            .and_then(Value::as_str)
+                            .ok_or("failure field 'system' is not a string")?
+                            .to_string(),
+                        label: f
+                            .get("label")
+                            .and_then(Value::as_str)
+                            .ok_or("failure field 'label' is not a string")?
+                            .to_string(),
+                        kind: FailureKind::parse(kind_str)
+                            .ok_or_else(|| format!("unknown failure kind '{kind_str}'"))?,
+                        message: f
+                            .get("message")
+                            .and_then(Value::as_str)
+                            .ok_or("failure field 'message' is not a string")?
+                            .to_string(),
                     })
                 })
                 .collect::<Result<Vec<_>, String>>()?,

@@ -20,6 +20,26 @@ pub mod report;
 pub mod resilient;
 pub mod scenarios;
 
+/// One configuration of the scheduler-ablation study and its cycles on
+/// probes chosen to be *scheduler-bound* rather than staging-bus-bound
+/// (at full pipelining the 17-cycle/command BC-bus floor hides the
+/// scheduler entirely — itself a finding the `ablation_scheduler` bench
+/// reports).
+#[derive(Debug, Clone)]
+pub struct AblationRow {
+    /// Human-readable configuration label.
+    pub label: &'static str,
+    /// Single-command gather latency at a non-power-of-two stride
+    /// (exercises the FHC path and the §5.2.3 bypass paths).
+    pub latency_s5: u64,
+    /// vaxpy at stride 16, coincident alignment: every vector in one
+    /// external bank, rows conflicting (row policy + open promotion).
+    pub vaxpy_s16: u64,
+    /// Alternating single-bank reads/writes (polarity rule +
+    /// out-of-order issue).
+    pub rw_mix_s16: u64,
+}
+
 /// The ablation configurations of §5.2, in presentation order.
 pub fn ablation_configs() -> Vec<(&'static str, PvaConfig)> {
     let mut out = vec![("baseline (all features)", PvaConfig::default())];
@@ -101,6 +121,20 @@ pub fn ablation_rw_mix_s16(cfg: PvaConfig) -> u64 {
     unit.run(reqs).expect("runs").cycles
 }
 
+/// Ablations of the §5.2 design choices: out-of-order issue, open/
+/// precharge promotion, bypass paths, and the four row policies.
+pub fn ablations() -> Vec<AblationRow> {
+    ablation_configs()
+        .into_iter()
+        .map(|(label, cfg)| AblationRow {
+            label,
+            latency_s5: ablation_latency_s5(cfg),
+            vaxpy_s16: ablation_vaxpy_s16(label, cfg),
+            rw_mix_s16: ablation_rw_mix_s16(cfg),
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,22 +180,17 @@ mod tests {
 
     #[test]
     fn ablations_cover_all_switches() {
-        let configs = ablation_configs();
-        assert_eq!(configs.len(), 8);
-        let latency: Vec<u64> = configs
-            .iter()
-            .map(|&(_, cfg)| ablation_latency_s5(cfg))
-            .collect();
-        assert!(latency.iter().all(|&l| l > 0));
+        let rows = ablations();
+        assert_eq!(rows.len(), 8);
+        assert!(rows.iter().all(|r| r.latency_s5 > 0));
         // The bypass-path ablation must show up in single-command
         // latency (the §5.2.3 claim).
-        let no_bypass = configs
+        let base = rows[0].latency_s5;
+        let no_bypass = rows
             .iter()
-            .position(|(label, _)| label.contains("bypass"))
-            .expect("bypass row present");
-        assert!(
-            latency[no_bypass] > latency[0],
-            "bypass paths reduce idle latency"
-        );
+            .find(|r| r.label.contains("bypass"))
+            .expect("bypass row present")
+            .latency_s5;
+        assert!(no_bypass > base, "bypass paths reduce idle latency");
     }
 }

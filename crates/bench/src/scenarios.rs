@@ -464,8 +464,13 @@ fn headline() -> Scenario {
         "headline",
         "The abstract's headline claims, recomputed on the full design space",
         || {
+            // Figure 11's gap also needs vaxpy on PVA-SRAM.
             let mut points = grid_points(&Kernel::ALL, &STRIDES, &HEADLINE_SYSTEMS);
-            points.extend(grid_points(&[Kernel::Vaxpy], &STRIDES, &FIG11_SYSTEMS));
+            points.extend(grid_points(
+                &[Kernel::Vaxpy],
+                &STRIDES,
+                &[SystemKind::PvaSram],
+            ));
             points
         },
         |grid| {
@@ -2192,7 +2197,7 @@ mod tests {
     }
 
     #[test]
-    fn grid_views_list_3320_points_of_which_960_are_distinct() {
+    fn grid_views_list_3290_points_of_which_960_are_distinct() {
         let views = [
             "fig7",
             "fig8",
@@ -2204,7 +2209,12 @@ mod tests {
         ];
         let cells: Vec<Vec<CellSpec>> = views.map(|v| (find(v, None).unwrap().build)()).into();
         let listed: Vec<usize> = cells.iter().map(Vec::len).collect();
-        assert_eq!(listed, [360, 360, 320, 480, 60, 780, 960]);
+        assert_eq!(listed, [360, 360, 320, 480, 60, 750, 960]);
+        for (view, cells) in views.iter().zip(&cells) {
+            let distinct: std::collections::HashSet<_> =
+                cells.iter().map(|c| (&c.system, &c.label)).collect();
+            assert_eq!(distinct.len(), cells.len(), "{view} lists a point twice");
+        }
         let shared: std::collections::HashSet<_> = cells
             .iter()
             .flatten()

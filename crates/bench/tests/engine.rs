@@ -109,7 +109,7 @@ fn cheap_scenarios_match_committed_goldens() {
         "ext_bitrev",
         "cpu_sensitivity",
         "ext_cache_pollution",
-        // The views of the §6.2 grid: 3,320 listings of 960 points.
+        // The views of the §6.2 grid: 3,290 listings of 960 points.
         "fig7_stride_sweep",
         "fig8_stride_sweep",
         "fig9_fixed_stride",
@@ -132,7 +132,7 @@ fn cheap_scenarios_match_committed_goldens() {
     let run = run_scenarios_checked(&refs, &ExecConfig::with_jobs(4)).expect("engine run");
     assert_eq!(run.failed_cells, 0, "no cell may fail");
     let listed: usize = run.reports.iter().map(|r| r.record.cells.len()).sum();
-    assert_eq!(listed - run.simulated_cells, 3320 - 960);
+    assert_eq!(listed - run.simulated_cells, 3290 - 960);
     for ((_, path), report) in checks.iter().zip(run.reports) {
         let golden = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("golden {path}: {e}"));
         assert_eq!(report.text, golden, "{} drifted from {path}", report.name);

@@ -85,6 +85,15 @@ mod tests {
     use super::*;
 
     #[test]
+    fn point_counts_match_section_6_2() {
+        // 8 patterns x 6 strides x 5 alignments = 240 per system.
+        assert_eq!(
+            Kernel::ALL.len() * STRIDES.len() * Alignment::ALL.len(),
+            240
+        );
+    }
+
+    #[test]
     fn scale_is_alignment_insensitive_on_pva() {
         // §6.3.1: scale touches a single vector, so relative alignment
         // cannot matter.
@@ -94,17 +103,61 @@ mod tests {
 
     #[test]
     fn cacheline_system_degrades_with_stride() {
-        let copy = |s| {
-            run_point(
-                Kernel::Copy,
-                s,
-                Alignment::Coincident,
-                SystemKind::CachelineSerial,
-            )
-        };
-        let (s1, s4, s16) = (copy(1), copy(4), copy(16));
+        let s1 = run_point(
+            Kernel::Copy,
+            1,
+            Alignment::Coincident,
+            SystemKind::CachelineSerial,
+        );
+        let s4 = run_point(
+            Kernel::Copy,
+            4,
+            Alignment::Coincident,
+            SystemKind::CachelineSerial,
+        );
+        let s16 = run_point(
+            Kernel::Copy,
+            16,
+            Alignment::Coincident,
+            SystemKind::CachelineSerial,
+        );
         assert!(s1 < s4 && s4 < s16);
         assert_eq!(s4, 4 * s1);
         assert_eq!(s16, 16 * s1);
+    }
+
+    #[test]
+    fn pva_flat_across_parallel_strides() {
+        // The PVA's defining property: stride 19 costs about the same as
+        // stride 1 (§6.3.1).
+        let min = |s| {
+            Alignment::ALL
+                .map(|a| run_point(Kernel::Scale, s, a, SystemKind::PvaSdram))
+                .into_iter()
+                .min()
+                .unwrap()
+        };
+        let (s1, s19) = (min(1), min(19));
+        assert!(
+            (s19 as f64) < s1 as f64 * 1.6,
+            "stride19 {s19} vs stride1 {s1}"
+        );
+    }
+
+    #[test]
+    fn run_point_is_deterministic() {
+        let a = run_point(
+            Kernel::Vaxpy,
+            8,
+            Alignment::RowStagger,
+            SystemKind::PvaSdram,
+        );
+        let b = run_point(
+            Kernel::Vaxpy,
+            8,
+            Alignment::RowStagger,
+            SystemKind::PvaSdram,
+        );
+        assert_eq!(a, b);
     }
 }

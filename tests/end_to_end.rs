@@ -6,15 +6,8 @@ use pva::kernels::{run_point, Alignment, Kernel, SystemKind, STRIDES};
 use pva::memsys::TraceOp;
 use pva::sim::{HostRequest, PvaConfig, PvaUnit};
 
-/// Fewest cycles of a (kernel, stride, system) cell over the five
-/// relative alignments: one bar of figures 7–10.
-fn min_cycles(kernel: Kernel, stride: u64, system: SystemKind) -> u64 {
-    Alignment::ALL
-        .into_iter()
-        .map(|a| run_point(kernel, stride, a, system))
-        .min()
-        .unwrap()
-}
+mod common;
+use common::min_cycles;
 
 #[test]
 fn facade_reexports_compose() {

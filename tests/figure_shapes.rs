@@ -2,17 +2,10 @@
 //! *shape* is asserted so regressions in the model surface as test
 //! failures, not silently wrong writeups.
 
-use pva::kernels::{run_point, Alignment, Kernel, SystemKind};
+use pva::kernels::{Kernel, SystemKind};
 
-/// Fewest cycles of a (kernel, stride, system) cell over the five
-/// relative alignments: one bar of figures 7–10.
-fn min_cycles(kernel: Kernel, stride: u64, system: SystemKind) -> u64 {
-    Alignment::ALL
-        .into_iter()
-        .map(|a| run_point(kernel, stride, a, system))
-        .min()
-        .unwrap()
-}
+mod common;
+use common::min_cycles;
 
 /// Figure 7/8 shape: PVA flat across strides (prime included); the
 /// cache-line system's cost proportional to stride.
@@ -74,7 +67,7 @@ fn fig10_prime_stride_blowup_and_crossover() {
 /// across every stride and alignment (the latency-hiding claim).
 #[test]
 fn fig11_sram_gap() {
-    use pva::kernels::STRIDES;
+    use pva::kernels::{run_point, Alignment, STRIDES};
     let mut worst: f64 = 1.0;
     for &s in &STRIDES {
         for a in Alignment::ALL {
