@@ -29,10 +29,6 @@ use crate::resilient::{self, CellFailure, ExecPolicy, FailureKind};
 /// Schema identifier stamped into every emitted record.
 pub const SCHEMA: &str = "pva-bench-record-v2";
 
-/// The previous schema; still accepted by [`RunRecord::from_json`]
-/// (records without `failures`/`resumed` fields).
-pub const SCHEMA_V1: &str = "pva-bench-record-v1";
-
 /// The measured output of one cell.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CellData {
@@ -161,8 +157,7 @@ pub struct CellRecord {
 /// The structured result of running one scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunRecord {
-    /// Schema identifier ([`SCHEMA`]; [`SCHEMA_V1`] when parsed from an
-    /// old record).
+    /// Schema identifier ([`SCHEMA`]).
     pub schema: String,
     /// Scenario name.
     pub scenario: String,
@@ -210,14 +205,7 @@ impl RunRecord {
         let failures: Vec<Value> = self
             .failures
             .iter()
-            .map(|f| {
-                Value::Obj(vec![
-                    ("system".into(), Value::Str(f.system.clone())),
-                    ("label".into(), Value::Str(f.label.clone())),
-                    ("kind".into(), Value::Str(f.kind.as_str().into())),
-                    ("message".into(), Value::Str(f.message.clone())),
-                ])
-            })
+            .map(|f| Value::Obj(f.json_fields()))
             .collect();
         Value::Obj(vec![
             ("schema".into(), Value::Str(self.schema.clone())),
@@ -246,28 +234,18 @@ impl RunRecord {
         .to_json()
     }
 
-    /// Parses and schema-validates a record. Accepts the current
-    /// [`SCHEMA`] and the previous [`SCHEMA_V1`] (whose records have no
-    /// `failures`/`resumed` fields).
+    /// Parses and schema-validates a record of the current [`SCHEMA`].
     pub fn from_json(text: &str) -> Result<RunRecord, String> {
         let v = json::parse(text).map_err(|e| e.to_string())?;
         let field = |k: &str| v.get(k).ok_or_else(|| format!("missing field '{k}'"));
-        let str_field = |k: &str| {
-            field(k)?
-                .as_str()
-                .map(str::to_string)
-                .ok_or_else(|| format!("field '{k}' is not a string"))
-        };
         let u64_field = |val: &Value, k: &str| {
             val.get(k)
                 .and_then(Value::as_u64)
                 .ok_or_else(|| format!("field '{k}' is not an unsigned integer"))
         };
-        let schema = str_field("schema")?;
-        if schema != SCHEMA && schema != SCHEMA_V1 {
-            return Err(format!(
-                "unknown schema '{schema}' (expected '{SCHEMA}' or '{SCHEMA_V1}')"
-            ));
+        let schema = v.str_field("schema")?;
+        if schema != SCHEMA {
+            return Err(format!("unknown schema '{schema}' (expected '{SCHEMA}')"));
         }
         let cells = field("cells")?
             .as_arr()
@@ -275,58 +253,24 @@ impl RunRecord {
             .iter()
             .map(|c| {
                 Ok(CellRecord {
-                    system: c
-                        .get("system")
-                        .and_then(Value::as_str)
-                        .ok_or("cell field 'system' is not a string")?
-                        .to_string(),
-                    label: c
-                        .get("label")
-                        .and_then(Value::as_str)
-                        .ok_or("cell field 'label' is not a string")?
-                        .to_string(),
+                    system: c.str_field("system")?,
+                    label: c.str_field("label")?,
                     cycles: u64_field(c, "cycles")?,
                     bytes: u64_field(c, "bytes")?,
                     wall_ns: u64_field(c, "wall_ns")?,
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
-        let failures = match v.get("failures") {
-            None => Vec::new(),
-            Some(Value::Arr(items)) => items
-                .iter()
-                .map(|f| {
-                    let kind_str = f
-                        .get("kind")
-                        .and_then(Value::as_str)
-                        .ok_or("failure field 'kind' is not a string")?;
-                    Ok(CellFailure {
-                        system: f
-                            .get("system")
-                            .and_then(Value::as_str)
-                            .ok_or("failure field 'system' is not a string")?
-                            .to_string(),
-                        label: f
-                            .get("label")
-                            .and_then(Value::as_str)
-                            .ok_or("failure field 'label' is not a string")?
-                            .to_string(),
-                        kind: FailureKind::parse(kind_str)
-                            .ok_or_else(|| format!("unknown failure kind '{kind_str}'"))?,
-                        message: f
-                            .get("message")
-                            .and_then(Value::as_str)
-                            .ok_or("failure field 'message' is not a string")?
-                            .to_string(),
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?,
-            Some(_) => return Err("field 'failures' is not an array".into()),
-        };
+        let failures = field("failures")?
+            .as_arr()
+            .ok_or("field 'failures' is not an array")?
+            .iter()
+            .map(CellFailure::from_json)
+            .collect::<Result<Vec<_>, String>>()?;
         Ok(RunRecord {
             schema,
-            scenario: str_field("scenario")?,
-            title: str_field("title")?,
+            scenario: v.str_field("scenario")?,
+            title: v.str_field("title")?,
             cells,
             total_cycles: u64_field(&v, "total_cycles")?,
             total_bytes: u64_field(&v, "total_bytes")?,
@@ -346,12 +290,7 @@ impl RunRecord {
                     .collect::<Result<Vec<_>, String>>()?,
                 Some(_) => return Err("field 'metrics' is not an object".into()),
             },
-            resumed: match v.get("resumed") {
-                None => 0,
-                Some(r) => r
-                    .as_u64()
-                    .ok_or("field 'resumed' is not an unsigned integer")?,
-            },
+            resumed: u64_field(&v, "resumed")?,
             failures,
         })
     }
@@ -881,18 +820,6 @@ mod tests {
         rec.resumed = 5;
         let parsed = RunRecord::from_json(&rec.to_json()).expect("valid record");
         assert_eq!(parsed, rec);
-    }
-
-    #[test]
-    fn from_json_accepts_v1_records() {
-        let v1 = r#"{"schema": "pva-bench-record-v1", "scenario": "x", "title": "y",
-            "cells": [{"system": "s", "label": "l", "cycles": 1, "bytes": 2,
-            "wall_ns": 3}], "total_cycles": 1, "total_bytes": 2,
-            "wall_ns": 3, "sim_cycles_per_sec": 0.5}"#;
-        let rec = RunRecord::from_json(v1).expect("v1 accepted");
-        assert_eq!(rec.schema, SCHEMA_V1);
-        assert_eq!(rec.resumed, 0);
-        assert!(rec.failures.is_empty());
     }
 
     #[test]

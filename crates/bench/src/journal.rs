@@ -24,7 +24,7 @@ use std::path::Path;
 
 use crate::engine::CellData;
 use crate::json::{self, Value};
-use crate::resilient::{CellFailure, FailureKind};
+use crate::resilient::CellFailure;
 
 /// Schema identifier in the journal header line.
 pub const JOURNAL_SCHEMA: &str = "pva-bench-journal-v1";
@@ -45,13 +45,6 @@ fn parse_u64_str(v: &Value, what: &str) -> Result<u64, String> {
         Value::Num(_) => v.as_u64().ok_or_else(|| format!("{what}: not a u64")),
         _ => Err(format!("{what}: not a u64 string")),
     }
-}
-
-fn str_field(v: &Value, k: &str) -> Result<String, String> {
-    v.get(k)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field '{k}'"))
 }
 
 fn u64_field(v: &Value, k: &str) -> Result<u64, String> {
@@ -143,16 +136,13 @@ impl Journal {
         cell: usize,
         failure: &CellFailure,
     ) -> std::io::Result<()> {
-        let v = Value::Obj(vec![
+        let mut fields = vec![
             ("type".into(), Value::Str("failure".into())),
             ("scenario".into(), Value::Str(scenario.into())),
             ("cell".into(), Value::Num(cell as f64)),
-            ("system".into(), Value::Str(failure.system.clone())),
-            ("label".into(), Value::Str(failure.label.clone())),
-            ("kind".into(), Value::Str(failure.kind.as_str().into())),
-            ("message".into(), Value::Str(failure.message.clone())),
-        ]);
-        Journal::write_line(&mut self.file, &v)
+        ];
+        fields.extend(failure.json_fields());
+        Journal::write_line(&mut self.file, &Value::Obj(fields))
     }
 }
 
@@ -236,8 +226,8 @@ pub fn load(path: &Path) -> Result<Option<Replay>, String> {
         let lineno = idx + 1;
         let at = |msg: String| format!("{}: line {lineno}: {msg}", path.display());
         let v = json::parse(line).map_err(|e| at(e.to_string()))?;
-        let kind = str_field(&v, "type").map_err(&at)?;
-        let scenario = str_field(&v, "scenario").map_err(&at)?;
+        let kind = v.str_field("type").map_err(&at)?;
+        let scenario = v.str_field("scenario").map_err(&at)?;
         let cell = v
             .get("cell")
             .and_then(Value::as_u64)
@@ -257,25 +247,18 @@ pub fn load(path: &Path) -> Result<Option<Replay>, String> {
                     cycles: u64_field(&v, "cycles").map_err(&at)?,
                     bytes: u64_field(&v, "bytes").map_err(&at)?,
                     aux,
-                    text: str_field(&v, "text").map_err(&at)?,
+                    text: v.str_field("text").map_err(&at)?,
                 };
                 let cell = ReplayCell {
-                    system: str_field(&v, "system").map_err(&at)?,
-                    label: str_field(&v, "label").map_err(&at)?,
+                    system: v.str_field("system").map_err(&at)?,
+                    label: v.str_field("label").map_err(&at)?,
                     data,
                     wall_ns: u64_field(&v, "wall_ns").map_err(&at)?,
                 };
                 replay.cells.insert(key, cell);
             }
             "failure" => {
-                let kind_str = str_field(&v, "kind").map_err(&at)?;
-                let failure = CellFailure {
-                    system: str_field(&v, "system").map_err(&at)?,
-                    label: str_field(&v, "label").map_err(&at)?,
-                    kind: FailureKind::parse(&kind_str)
-                        .ok_or_else(|| at(format!("unknown failure kind '{kind_str}'")))?,
-                    message: str_field(&v, "message").map_err(&at)?,
-                };
+                let failure = CellFailure::from_json(&v).map_err(&at)?;
                 replay.failures.insert(key, failure);
             }
             other => return Err(at(format!("unknown journal line type '{other}'"))),
@@ -287,6 +270,7 @@ pub fn load(path: &Path) -> Result<Option<Replay>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resilient::FailureKind;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("pva-bench-journal-tests");

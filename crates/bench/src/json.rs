@@ -59,6 +59,15 @@ impl Value {
         }
     }
 
+    /// The string at `key` of an object value, or an error naming the
+    /// key.
+    pub(crate) fn str_field(&self, key: &str) -> Result<String, String> {
+        self.get(key)
+            .and_then(Value::as_str)
+            .map(str::to_string)
+            .ok_or_else(|| format!("missing string field '{key}'"))
+    }
+
     /// The value as an array slice.
     pub fn as_arr(&self) -> Option<&[Value]> {
         match self {
@@ -439,7 +448,7 @@ mod tests {
     #[test]
     fn round_trips_a_nested_document() {
         let v = Value::Obj(vec![
-            ("schema".into(), Value::Str("pva-bench-record-v1".into())),
+            ("schema".into(), Value::Str("pva-bench-record-v2".into())),
             ("count".into(), Value::Num(42.0)),
             ("ratio".into(), Value::Num(1.5)),
             ("ok".into(), Value::Bool(true)),

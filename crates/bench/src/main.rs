@@ -46,6 +46,7 @@
 //! Exit codes: 0 ok · 1 runtime error · 2 usage · 3 verify/diff
 //! mismatch · 4 schema-invalid input · 5 cell failures present.
 
+use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -55,7 +56,7 @@ use pva_bench::engine::{
     run_scenarios_checked, EngineError, EngineRun, ExecConfig, RunRecord, Scenario, ScenarioReport,
 };
 use pva_bench::journal;
-use pva_bench::resilient::ExecPolicy;
+use pva_bench::resilient::{CellFailure, ExecPolicy};
 use pva_bench::scenarios::{
     find, scenarios, techsweep_metrics, throughput_metrics, throughput_speedup,
 };
@@ -558,7 +559,11 @@ fn cmd_validate(files: &[String]) -> ExitCode {
 
 /// Compares two run records canonically (wall-clock-derived fields —
 /// per-cell and total wall times, throughput, metrics, resumed counts —
-/// zeroed on both sides first).
+/// zeroed on both sides first) and names every field that differs:
+/// top-level fields, and system, label, cycles or bytes per cell. The
+/// report is written with write errors ignored, so a closed pipe
+/// (`pva-bench diff a b 2>&1 | head`) still exits with the documented
+/// code.
 fn cmd_diff(a: &str, b: &str) -> ExitCode {
     let load = |f: &str| -> Result<RunRecord, String> {
         let text = std::fs::read_to_string(f).map_err(|e| format!("{f}: {e}"))?;
@@ -567,17 +572,19 @@ fn cmd_diff(a: &str, b: &str) -> ExitCode {
     let (ra, rb) = match (load(a), load(b)) {
         (Ok(ra), Ok(rb)) => (ra, rb),
         (a_res, b_res) => {
-            for r in [a_res, b_res] {
-                if let Err(e) = r {
-                    eprintln!("INVALID: {e}");
-                }
-            }
+            let errors: String = [a_res, b_res]
+                .into_iter()
+                .filter_map(Result::err)
+                .map(|e| format!("INVALID: {e}\n"))
+                .collect();
+            let _ = std::io::stderr().write_all(errors.as_bytes());
             return ExitCode::from(EXIT_SCHEMA);
         }
     };
     let (ca, cb) = (ra.canonical(), rb.canonical());
     if ca == cb {
-        println!(
+        let _ = writeln!(
+            std::io::stdout(),
             "identical (canonical): {} — {} cells, {} cycles",
             ca.scenario,
             ca.cells.len(),
@@ -585,29 +592,67 @@ fn cmd_diff(a: &str, b: &str) -> ExitCode {
         );
         return ExitCode::SUCCESS;
     }
-    eprintln!("records differ (canonical comparison):");
-    if ca.scenario != cb.scenario {
-        eprintln!("  scenario: {} vs {}", ca.scenario, cb.scenario);
+    let failures = |r: &[CellFailure]| {
+        let list: Vec<String> = r
+            .iter()
+            .map(|f| format!("{}/{} [{}]", f.system, f.label, f.kind))
+            .collect();
+        format!("[{}]", list.join(", "))
+    };
+    let mut report = String::from("records differ (canonical comparison):\n");
+    for (name, x, y) in differing([
+        ("schema", ca.schema, cb.schema),
+        ("scenario", ca.scenario, cb.scenario),
+        ("title", ca.title, cb.title),
+        (
+            "total_cycles",
+            ca.total_cycles.to_string(),
+            cb.total_cycles.to_string(),
+        ),
+        (
+            "total_bytes",
+            ca.total_bytes.to_string(),
+            cb.total_bytes.to_string(),
+        ),
+        ("failures", failures(&ca.failures), failures(&cb.failures)),
+        (
+            "cells",
+            ca.cells.len().to_string(),
+            cb.cells.len().to_string(),
+        ),
+    ]) {
+        let _ = writeln!(report, "  {name}: {x} vs {y}");
     }
-    if ca.total_cycles != cb.total_cycles {
-        eprintln!("  total_cycles: {} vs {}", ca.total_cycles, cb.total_cycles);
-    }
-    if ca.cells.len() != cb.cells.len() {
-        eprintln!("  cells: {} vs {}", ca.cells.len(), cb.cells.len());
-    } else {
+    if ca.cells.len() == cb.cells.len() {
         for (i, (x, y)) in ca.cells.iter().zip(&cb.cells).enumerate() {
-            if x != y {
-                eprintln!(
-                    "  cell {i} ({}/{}): cycles {} vs {}, bytes {} vs {}",
-                    x.system, x.label, x.cycles, y.cycles, x.bytes, y.bytes
+            let parts: Vec<String> = differing([
+                ("system", x.system.clone(), y.system.clone()),
+                ("label", x.label.clone(), y.label.clone()),
+                ("cycles", x.cycles.to_string(), y.cycles.to_string()),
+                ("bytes", x.bytes.to_string(), y.bytes.to_string()),
+            ])
+            .map(|(name, a, b)| format!("{name} {a} vs {b}"))
+            .collect();
+            if !parts.is_empty() {
+                let _ = writeln!(
+                    report,
+                    "  cell {i} ({}/{}): {}",
+                    x.system,
+                    x.label,
+                    parts.join(", ")
                 );
             }
         }
     }
-    if ca.failures != cb.failures {
-        eprintln!("  failures: {} vs {}", ca.failures.len(), cb.failures.len());
-    }
+    let _ = std::io::stderr().write_all(report.as_bytes());
     ExitCode::from(EXIT_VERIFY)
+}
+
+/// The `(name, a, b)` fields whose two sides differ.
+fn differing<const N: usize>(
+    fields: [(&'static str, String, String); N],
+) -> impl Iterator<Item = (&'static str, String, String)> {
+    fields.into_iter().filter(|(_, a, b)| a != b)
 }
 
 fn main() -> ExitCode {

@@ -16,6 +16,7 @@ use std::sync::Once;
 use std::time::{Duration, Instant};
 
 use crate::engine::{CellData, Work};
+use crate::json::Value;
 
 /// How a cell failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,6 +69,30 @@ pub struct CellFailure {
     pub kind: FailureKind,
     /// Human-readable cause (panic payload / budget description).
     pub message: String,
+}
+
+impl CellFailure {
+    /// The failure's fields as records and journals write them.
+    pub(crate) fn json_fields(&self) -> Vec<(String, Value)> {
+        vec![
+            ("system".into(), Value::Str(self.system.clone())),
+            ("label".into(), Value::Str(self.label.clone())),
+            ("kind".into(), Value::Str(self.kind.as_str().into())),
+            ("message".into(), Value::Str(self.message.clone())),
+        ]
+    }
+
+    /// Parses the fields [`CellFailure::json_fields`] writes.
+    pub(crate) fn from_json(v: &Value) -> Result<CellFailure, String> {
+        let kind = v.str_field("kind")?;
+        Ok(CellFailure {
+            system: v.str_field("system")?,
+            label: v.str_field("label")?,
+            kind: FailureKind::parse(&kind)
+                .ok_or_else(|| format!("unknown failure kind '{kind}'"))?,
+            message: v.str_field("message")?,
+        })
+    }
 }
 
 /// Execution policy for cells.

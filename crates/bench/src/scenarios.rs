@@ -56,7 +56,6 @@ pub fn scenarios(device: Option<DevicePreset>) -> Vec<Scenario> {
         related_cvms(),
         related_smc(),
         stream(),
-        tech_sweep(),
         techsweep(device),
         faults(),
         scaling_banks(),
@@ -1267,7 +1266,7 @@ fn stream() -> Scenario {
 }
 
 // ---------------------------------------------------------------------
-// Technology / scaling / design-space / CPU-sensitivity sweeps.
+// Scaling / design-space / CPU-sensitivity sweeps.
 
 fn gathered_reads(cfg: PvaConfig, stride: u64) -> u64 {
     let mut unit = pva_sim::PvaUnit::new(cfg).expect("valid config");
@@ -1279,117 +1278,9 @@ fn gathered_reads(cfg: PvaConfig, stride: u64) -> u64 {
     unit.run(reqs).expect("runs").cycles
 }
 
-fn tech_list() -> Vec<(&'static str, SdramConfig)> {
-    vec![
-        (
-            "edo-like (1 row buffer)",
-            SdramConfig::for_device(DevicePreset::EdoLike),
-        ),
-        ("sdram (4 internal banks)", SdramConfig::default()),
-        (
-            "sldram-like (8 banks)",
-            SdramConfig::for_device(DevicePreset::SldramLike),
-        ),
-        (
-            "drdram-like (32 banks)",
-            SdramConfig::for_device(DevicePreset::DrdramLike),
-        ),
-        (
-            "ideal sram",
-            SdramConfig::for_device(DevicePreset::SramLike),
-        ),
-    ]
-}
-
-fn tech_row_conflict(sdram: SdramConfig) -> u64 {
-    let cfg = PvaConfig {
-        sdram,
-        ..PvaConfig::default()
-    };
-    let k = Kernel::Vaxpy;
-    let bases = Alignment::Coincident.bases(k.array_count(), ARRAY_REGION);
-    let trace = k.trace(&bases, 16, ELEMENTS, LINE_WORDS);
-    PvaSystem::with_config("tech", cfg).run_trace(&trace).cycles
-}
-
-fn tech_sweep() -> Scenario {
-    Scenario {
-        name: "tech_sweep",
-        alias: "tech",
-        title: "DRAM technology sweep: the PVA over EDO/SDRAM/SLDRAM/DRDRAM/SRAM",
-        smoke: false,
-        golden: true,
-        build: Box::new(|| {
-            tech_list()
-                .into_iter()
-                .map(|(name, sdram)| {
-                    CellSpec::new(name, "tech", move || {
-                        let run = |stride| {
-                            gathered_reads(
-                                PvaConfig {
-                                    sdram,
-                                    ..PvaConfig::default()
-                                },
-                                stride,
-                            )
-                        };
-                        let (s1, s16, s19) = (run(1), run(16), run(19));
-                        let rc = tech_row_conflict(sdram);
-                        CellData::with_aux(s1 + s16 + s19 + rc, 0, vec![s1, s16, s19, rc])
-                    })
-                })
-                .collect()
-        }),
-        render: Box::new(|cells: &[CellData]| {
-            let mut t = Table::new(vec![
-                "device",
-                "stride 1",
-                "stride 16",
-                "stride 19",
-                "vaxpy s16 (row conflicts)",
-            ]);
-            for ((name, _), c) in tech_list().iter().zip(cells) {
-                t.row(vec![
-                    name.to_string(),
-                    c.aux[0].to_string(),
-                    c.aux[1].to_string(),
-                    c.aux[2].to_string(),
-                    c.aux[3].to_string(),
-                ]);
-            }
-            let mut out = String::new();
-            let _ = writeln!(
-                out,
-                "DRAM technology sweep — 16 gathered reads through the PVA (cycles)\n"
-            );
-            let _ = writeln!(out, "{t}");
-            let _ = writeln!(
-                out,
-                "on pure vector bursts (first three columns) the PVA's scheduling amortizes row"
-            );
-            let _ = writeln!(
-                out,
-                "opens so thoroughly that even a single-row-buffer EDO-like device keeps pace —"
-            );
-            let _ = writeln!(
-                out,
-                "the latency-hiding claim of the paper in its strongest form; device differences"
-            );
-            let _ = writeln!(
-                out,
-                "surface only under row *conflicts* (last column), where internal-bank overlap"
-            );
-            let _ = writeln!(
-                out,
-                "and the core timings separate the technologies, SRAM bounding them below"
-            );
-            out
-        }),
-    }
-}
-
 // ---------------------------------------------------------------------
-// Technology-generation sweep: the fig-7 comparison per device preset.
+// Technology-generation sweep: the fig-7 comparison per device preset,
+// plus a row-conflict probe per preset (the §2.3 technology survey).
 
 /// The generations the sweep runs by default: the paper's SDR part plus
 /// the two modern profiles whose channel constraints (tCCD/tRRD/tFAW)
@@ -1488,6 +1379,17 @@ fn techsweep(device: Option<DevicePreset>) -> Scenario {
                         ));
                     }
                 }
+                cells.push(CellSpec::new(
+                    preset.name(),
+                    "vaxpy/s16/row-conflict",
+                    move || {
+                        let cfg = PvaConfig {
+                            sdram: SdramConfig::for_device(preset),
+                            ..PvaConfig::default()
+                        };
+                        CellData::cycles(ablation_vaxpy_s16("techsweep", cfg), 0)
+                    },
+                ));
             }
             cells
         }),
@@ -1546,6 +1448,12 @@ fn techsweep(device: Option<DevicePreset>) -> Scenario {
                     "the PVA advantage does NOT survive every point of this generation"
                 };
                 let _ = writeln!(out, "vs cacheline: {min_up:.2}x-{max_up:.2}x — {verdict}");
+                let _ = writeln!(
+                    out,
+                    "row-conflict probe (vaxpy s16, coincident): {} cycles",
+                    cells[idx].cycles
+                );
+                idx += 1;
             }
             out
         }),
@@ -2180,7 +2088,7 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(before, names.len(), "duplicate scenario name or alias");
-        assert_eq!(all.len(), 23);
+        assert_eq!(all.len(), 22);
     }
 
     #[test]
@@ -2189,10 +2097,12 @@ mod tests {
         // equivalence anchor) plus at least two later generations.
         assert!(TECHSWEEP_DEFAULT.contains(&DevicePreset::Sdr100));
         assert!(TECHSWEEP_DEFAULT.len() >= 3);
+        // Per device: the kernel x stride table plus the row-conflict
+        // probe.
         let cells = (find("techsweep", None).unwrap().build)();
         assert_eq!(
             cells.len(),
-            TECHSWEEP_DEFAULT.len() * FIG7_KERNELS.len() * TECHSWEEP_STRIDES.len()
+            TECHSWEEP_DEFAULT.len() * (FIG7_KERNELS.len() * TECHSWEEP_STRIDES.len() + 1)
         );
     }
 

@@ -8,12 +8,15 @@
 //! Out-of-process: a child `pva-bench` running the `chaos` dev scenario
 //! is SIGKILLed mid-campaign, resumed with `--resume`, and its record
 //! compared against an uninterrupted reference — including through the
-//! `pva-bench diff` verb — plus checks of every documented exit code.
+//! `pva-bench diff` verb — plus checks of every documented exit code and
+//! of what `diff` reports.
 
-use std::path::PathBuf;
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 
-use pva_bench::engine::{run_scenarios_checked, ExecConfig, RunRecord, Scenario};
+use pva_bench::engine::{
+    run_scenarios_checked, CellRecord, ExecConfig, RunRecord, Scenario, SCHEMA,
+};
 use pva_bench::scenarios::find;
 
 fn must_find(name: &str) -> Scenario {
@@ -342,23 +345,98 @@ fn documented_exit_codes_for_usage_and_schema_errors() {
         "parse errors carry line context: {err}"
     );
 
-    // diff of structurally different records -> 3.
-    let a = dir.join("a.json");
-    let b = dir.join("b.json");
-    let rec = |cycles: u64| {
-        format!(
-            "{{\"schema\": \"pva-bench-record-v1\", \"scenario\": \"x\", \"title\": \"x\", \
-             \"total_cycles\": {cycles}, \"total_bytes\": 0, \"wall_ns\": 0, \
-             \"sim_cycles_per_sec\": 0.0, \"metrics\": {{}}, \"cells\": []}}"
-        )
-    };
-    std::fs::write(&a, rec(1)).expect("write");
-    std::fs::write(&b, rec(2)).expect("write");
-    let out = Command::new(env!("CARGO_BIN_EXE_pva-bench"))
-        .args(["diff", a.to_str().unwrap(), b.to_str().unwrap()])
+    // diff of records with different cycles -> 3.
+    let (a, b) = (one_cell_record("copy/s1", 1), one_cell_record("copy/s1", 2));
+    let out = diff_records(&dir, &a.to_json(), &b.to_json())
         .output()
         .expect("runs");
     assert_eq!(out.status.code(), Some(3), "{out:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A record of the current schema holding one cell.
+fn one_cell_record(label: &str, cycles: u64) -> RunRecord {
+    RunRecord {
+        schema: SCHEMA.into(),
+        scenario: "x".into(),
+        title: "x".into(),
+        cells: vec![CellRecord {
+            system: "pva-sdram".into(),
+            label: label.into(),
+            cycles,
+            bytes: 64,
+            wall_ns: 0,
+        }],
+        total_cycles: cycles,
+        total_bytes: 64,
+        wall_ns: 0,
+        sim_cycles_per_sec: 0.0,
+        metrics: Vec::new(),
+        resumed: 0,
+        failures: Vec::new(),
+    }
+}
+
+/// Writes the record texts `a` and `b` into `dir` and returns a
+/// `pva-bench diff` of the two files.
+fn diff_records(dir: &Path, a: &str, b: &str) -> Command {
+    let (pa, pb) = (dir.join("a.json"), dir.join("b.json"));
+    std::fs::write(&pa, a).expect("write");
+    std::fs::write(&pb, b).expect("write");
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_pva-bench"));
+    cmd.arg("diff").arg(pa).arg(pb);
+    cmd
+}
+
+#[test]
+fn diff_names_a_label_only_difference() {
+    let dir = scratch("diff-label");
+    let (a, b) = (
+        one_cell_record("copy/s1", 1088),
+        one_cell_record("copy/s2", 1088),
+    );
+    let out = diff_records(&dir, &a.to_json(), &b.to_json())
+        .output()
+        .expect("diff runs");
+    assert_eq!(out.status.code(), Some(3), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("label copy/s1 vs copy/s2"), "{err}");
+    assert!(
+        !err.contains("cycles"),
+        "equal fields are not listed: {err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn diff_of_a_schema_only_difference_names_schema() {
+    // Only the current schema parses, so the other record is invalid.
+    let dir = scratch("diff-schema");
+    let a = one_cell_record("copy/s1", 1088).to_json();
+    let b = a.replace(SCHEMA, "pva-bench-record-v0");
+    let out = diff_records(&dir, &a, &b).output().expect("diff runs");
+    assert_eq!(out.status.code(), Some(4), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("b.json: unknown schema 'pva-bench-record-v0'"),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn diff_into_a_closed_pipe_exits_with_the_documented_code() {
+    // `pva-bench diff a b 2>&1 | head -1`, with `head` already gone.
+    let dir = scratch("diff-pipe");
+    let (a, b) = (one_cell_record("copy/s1", 1), one_cell_record("copy/s1", 2));
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let status = diff_records(&dir, &a.to_json(), &b.to_json())
+        .stdout(Stdio::null())
+        .stderr(writer)
+        .status()
+        .expect("diff runs");
+    assert_eq!(status.code(), Some(3), "{status:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,8 +1,9 @@
 //! Engine integration tests: golden rendering for `report::Table`,
 //! JSON record round-trips, determinism across worker counts,
-//! byte-identity of scenario output against the committed goldens (the
-//! §6.2 figure views included, with each grid point simulated once), and
-//! journal resume refusing cells built for another device.
+//! byte-identity of scenario output against the committed goldens and
+//! canonical equality with the committed records (the §6.2 figure views
+//! included, with each grid point simulated once), and journal resume
+//! refusing cells built for another device.
 
 use pva_bench::engine::{
     run_scenarios_checked, EngineError, ExecConfig, RunRecord, Scenario, ScenarioReport,
@@ -85,7 +86,9 @@ fn engine_records_round_trip_through_json() {
 #[test]
 fn cheap_scenarios_match_committed_goldens() {
     let results = format!("{}/../../results", env!("CARGO_MANIFEST_DIR"));
-    let mut checks: Vec<(Scenario, String)> = [
+    // (scenario, golden text, committed record): only the default-device
+    // runs have a committed `BENCH_<name>.json`.
+    let mut checks: Vec<(Scenario, String, Option<String>)> = [
         "table1_complexity",
         "table2_kernels",
         "ext_indirect",
@@ -119,23 +122,41 @@ fn cheap_scenarios_match_committed_goldens() {
         "full_sweep",
     ]
     .iter()
-    .map(|name| (must_find(name), format!("{results}/{name}.txt")))
+    .map(|name| {
+        (
+            must_find(name),
+            format!("{results}/{name}.txt"),
+            Some(format!("{results}/BENCH_{name}.json")),
+        )
+    })
     .collect();
     // `--device` runs: one golden per shipped preset.
     checks.extend(DevicePreset::ALL.iter().map(|&p| {
         let s = find("techsweep", Some(p)).expect("techsweep registered");
-        (s, format!("{results}/techsweep.{}.txt", p.name()))
+        (s, format!("{results}/techsweep.{}.txt", p.name()), None)
     }));
     // One batch, so the pool stays busy across scenario boundaries and
     // each grid point is simulated once.
-    let refs: Vec<&Scenario> = checks.iter().map(|(s, _)| s).collect();
+    let refs: Vec<&Scenario> = checks.iter().map(|(s, _, _)| s).collect();
     let run = run_scenarios_checked(&refs, &ExecConfig::with_jobs(4)).expect("engine run");
     assert_eq!(run.failed_cells, 0, "no cell may fail");
     let listed: usize = run.reports.iter().map(|r| r.record.cells.len()).sum();
     assert_eq!(listed - run.simulated_cells, 3290 - 960);
-    for ((_, path), report) in checks.iter().zip(run.reports) {
+    for ((_, path, record), report) in checks.iter().zip(run.reports) {
         let golden = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("golden {path}: {e}"));
         assert_eq!(report.text, golden, "{} drifted from {path}", report.name);
+        if let Some(record) = record {
+            let text =
+                std::fs::read_to_string(record).unwrap_or_else(|e| panic!("record {record}: {e}"));
+            let committed =
+                RunRecord::from_json(&text).unwrap_or_else(|e| panic!("record {record}: {e}"));
+            assert_eq!(
+                report.record.canonical(),
+                committed.canonical(),
+                "{} drifted from {record}",
+                report.name
+            );
+        }
     }
 }
 

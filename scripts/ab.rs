@@ -10,12 +10,17 @@
 //! `take_completions`), as in `pva-perf`'s rounds. Every run is checked
 //! with its side's `oracle::check_run`, and both sides must end at the
 //! same `now()` with the same latency sum: the A/B compares host time
-//! of identical simulations.
+//! of identical simulations. Once per round, before its runs, each side
+//! also builds the workload's inputs (`Workload::inputs`), in the order
+//! alternated by round; that build is timed on its own.
 //!
 //! Arguments: `[--rounds N] [--seed S] [--workload NAME]...` (default:
-//! 20 timed rounds after one warm-up round, seed 1, every workload).
-//! Prints, per workload, the median and quartiles of the per-round
-//! change/base time ratio; below 1 means the change is faster.
+//! 20 timed rounds after one warm-up round, seed 1, every workload;
+//! N ≥ 2). Prints, per workload, the median and quartiles of the
+//! per-round change/base time ratio, and of the input build's
+//! change/base ratio over pairs of rounds; below 1 means the change is
+//! faster. The warm-up round is not reported, so the cold first set-up
+//! of a process (part of `pva-perf`'s `setup_s`) is not measured here.
 
 use std::time::Duration;
 
@@ -24,6 +29,7 @@ use std::time::Duration;
 macro_rules! side {
     ($side:ident, $perf:ident, $sim:ident) => {
         mod $side {
+            use std::hint::black_box;
             use std::time::{Duration, Instant};
 
             use $perf::{oracle, Workload};
@@ -31,6 +37,8 @@ macro_rules! side {
 
             /// A workload's configuration and one round's runs.
             pub struct Side {
+                workload: Workload,
+                seed: u64,
                 config: PvaConfig,
                 runs: Vec<Vec<HostRequest>>,
             }
@@ -39,9 +47,20 @@ macro_rules! side {
                 pub fn new(workload: &str, seed: u64) -> Option<Side> {
                     let w = Workload::from_name(workload)?;
                     Some(Side {
+                        workload: w,
+                        seed,
                         config: w.config(),
                         runs: w.inputs(seed),
                     })
+                }
+
+                /// Host time of building the workload's inputs once.
+                pub fn build_inputs(&self) -> Duration {
+                    let start = Instant::now();
+                    let runs = black_box(self.workload.inputs(self.seed));
+                    let time = start.elapsed();
+                    drop(runs);
+                    time
                 }
 
                 pub fn runs(&self) -> usize {
@@ -116,7 +135,7 @@ fn main() {
             _ => usage(),
         }
     }
-    if rounds == 0 {
+    if rounds < 2 {
         usage();
     }
     if workloads.is_empty() {
@@ -130,10 +149,25 @@ fn main() {
             std::process::exit(2);
         };
         assert_eq!(b.runs(), c.runs(), "{w}: the sides build different inputs");
-        let mut ratios = Vec::new();
+        let (mut ratios, mut build_ratios) = (Vec::new(), Vec::new());
         let (mut base_s, mut change_s) = (Vec::new(), Vec::new());
+        let (mut build_b, mut build_c) = (Duration::ZERO, Duration::ZERO);
         // Round 0 warms both sides up and is not reported.
         for round in 0..=rounds {
+            // The first build after a round's runs is slower whichever
+            // side makes it, so an untimed build by the side that goes
+            // second warms up both; the order still shows, so ratios
+            // are taken over pairs of rounds, which build in opposite
+            // orders.
+            let (bb, bc) = if round % 2 == 0 {
+                c.build_inputs();
+                let bb = b.build_inputs();
+                (bb, c.build_inputs())
+            } else {
+                b.build_inputs();
+                let bc = c.build_inputs();
+                (b.build_inputs(), bc)
+            };
             let (mut tb, mut tc) = (Duration::ZERO, Duration::ZERO);
             for i in 0..b.runs() {
                 let (rb, rc) = if (i + round) % 2 == 0 {
@@ -159,19 +193,28 @@ fn main() {
             }
             if round > 0 {
                 ratios.push(tc.as_secs_f64() / tb.as_secs_f64());
+                build_b += bb;
+                build_c += bc;
+                if round % 2 == 0 {
+                    build_ratios.push(build_c.as_secs_f64() / build_b.as_secs_f64());
+                    (build_b, build_c) = (Duration::ZERO, Duration::ZERO);
+                }
                 base_s.push(tb.as_secs_f64());
                 change_s.push(tc.as_secs_f64());
             }
         }
-        for v in [&mut ratios, &mut base_s, &mut change_s] {
+        for v in [&mut ratios, &mut build_ratios, &mut base_s, &mut change_s] {
             v.sort_by(f64::total_cmp);
         }
         println!(
-            "{w}: change/base {:.3} (quartiles {:.3}-{:.3}) over {rounds} rounds; \
-             median round base {:.3} s, change {:.3} s",
+            "{w}: change/base {:.3} (quartiles {:.3}-{:.3}) over {rounds} rounds, \
+             input build {:.3} ({:.3}-{:.3}); median round base {:.3} s, change {:.3} s",
             quantile(&ratios, 0.5),
             quantile(&ratios, 0.25),
             quantile(&ratios, 0.75),
+            quantile(&build_ratios, 0.5),
+            quantile(&build_ratios, 0.25),
+            quantile(&build_ratios, 0.75),
             quantile(&base_s, 0.5),
             quantile(&change_s, 0.5),
         );
