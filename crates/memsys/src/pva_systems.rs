@@ -88,20 +88,11 @@ impl PvaSystem {
     pub const fn cas_commands(&self) -> u64 {
         self.cas_commands
     }
-}
 
-impl MemorySystem for PvaSystem {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn run_trace(&mut self, trace: &[TraceOp]) -> RunOutcome {
-        let (outcome, complete) = self.run_until(trace, u64::MAX);
-        debug_assert!(complete, "an unbounded run always drains");
-        outcome
-    }
-
-    fn run_until(&mut self, trace: &[TraceOp], deadline: u64) -> (RunOutcome, bool) {
+    /// Executes the trace from an idle state but stops once the
+    /// simulated clock reaches `deadline` cycles, returning the
+    /// (possibly partial) outcome and whether the trace fully drained.
+    pub fn run_until(&mut self, trace: &[TraceOp], deadline: u64) -> (RunOutcome, bool) {
         let mut unit = PvaUnit::new(self.config).expect("valid configuration");
         for op in trace {
             let request = match op.kind {
@@ -140,9 +131,17 @@ impl MemorySystem for PvaSystem {
         };
         (outcome, complete)
     }
+}
 
-    fn reset(&mut self) {
-        // A fresh unit is built per run; there is nothing to clear.
+impl MemorySystem for PvaSystem {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn run_trace(&mut self, trace: &[TraceOp]) -> RunOutcome {
+        let (outcome, complete) = self.run_until(trace, u64::MAX);
+        debug_assert!(complete, "an unbounded run always drains");
+        outcome
     }
 }
 

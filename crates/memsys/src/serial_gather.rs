@@ -100,10 +100,6 @@ impl MemorySystem for SerialGather {
             },
         }
     }
-
-    fn reset(&mut self) {
-        // Closed-form model: stateless between runs.
-    }
 }
 
 #[cfg(test)]

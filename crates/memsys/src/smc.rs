@@ -170,7 +170,6 @@ impl MemorySystem for SmcLike {
             // Advance time.
             for dev in &mut devices {
                 dev.tick();
-                while dev.pop_ready().is_some() {}
             }
             cycles += 1;
             assert!(cycles < max_cycles, "SMC model livelock");
@@ -194,10 +193,6 @@ impl MemorySystem for SmcLike {
                 precharges,
             },
         }
-    }
-
-    fn reset(&mut self) {
-        // Devices and stream buffers are rebuilt per run.
     }
 }
 

@@ -90,23 +90,6 @@ pub trait MemorySystem {
     /// Executes the trace from an idle state and returns the aggregate
     /// [`RunOutcome`].
     fn run_trace(&mut self, trace: &[TraceOp]) -> RunOutcome;
-
-    /// Executes the trace from an idle state but stops once the
-    /// simulated clock reaches `deadline` cycles, returning the
-    /// (possibly partial) outcome and whether the trace fully drained.
-    /// Cycle-level systems override this with a genuinely bounded run
-    /// (the PVA model batches it on its event-driven core); the default
-    /// suits closed-form models whose outcome is computed in one shot —
-    /// the full outcome, flagged complete only when it fits the budget.
-    fn run_until(&mut self, trace: &[TraceOp], deadline: u64) -> (RunOutcome, bool) {
-        let outcome = self.run_trace(trace);
-        let complete = outcome.cycles <= deadline;
-        (outcome, complete)
-    }
-
-    /// Returns the system to its post-construction idle state, so one
-    /// boxed instance can run many scenarios back to back.
-    fn reset(&mut self);
 }
 
 /// Sum of useful elements across a trace.

@@ -34,7 +34,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use pva_core::{BankId, FastMap, FirstHit, K1Pla, LogicalView};
-use sdram::{CmdClass, InternalAddr, Sdram, SdramCmd};
+use sdram::{CmdClass, InternalAddr, ReadReturn, Sdram, SdramCmd};
 
 use crate::command::{OpKind, TxnId, VectorCommand};
 use crate::config::{PvaConfig, RowPolicy};
@@ -80,6 +80,59 @@ struct PendingRetry {
     addr: u64,
     /// Earliest cycle the retry may re-enter a vector context.
     not_before: u64,
+}
+
+/// The controller state that routing a READ's words touches, borrowed
+/// apart from the device so each word is routed as
+/// [`Sdram::issue_read_burst`] hands it back, with no buffer between.
+struct ReadRouter<'a> {
+    attempts: &'a mut FastMap<(u8, u64), u32>,
+    returning: &'a mut VecDeque<(u64, PendingRetry)>,
+    stats: &'a mut BcStats,
+    vec_meta: &'a [(u64, u64)],
+    config: &'a PvaConfig,
+}
+
+impl ReadRouter<'_> {
+    /// Routes one word of a READ burst at its CAS issue: deposit it,
+    /// tagged with its return cycle, or schedule a retry if poisoned.
+    /// Poisoned words (ECC-uncorrectable or hard-failed bank) are
+    /// retried with exponential backoff from their return cycle up to
+    /// the configured bound, then deposited flagged so the transaction
+    /// still completes.
+    fn route(&mut self, word: ReadReturn, txns: &mut TransactionTable) {
+        let (txn, element) = untag(word.tag);
+        if word.poisoned {
+            let key = (txn.0, element);
+            let attempts = self.attempts.get(&key).copied().unwrap_or(0);
+            if attempts < self.config.max_read_retries {
+                let (base, stride) = self.vec_meta[txn.0 as usize];
+                let backoff =
+                    (self.config.retry_backoff_cycles as u64) << attempts.min(MAX_BACKOFF_SHIFT);
+                self.attempts.insert(key, attempts + 1);
+                let retry = PendingRetry {
+                    txn,
+                    element,
+                    addr: base + stride * element,
+                    not_before: word.at_cycle + backoff,
+                };
+                self.returning.push_back((word.at_cycle, retry));
+                self.stats.read_retries += 1;
+            } else {
+                self.attempts.remove(&key);
+                self.stats.retries_exhausted += 1;
+                txns.deposit_faulted(txn, element, word.data, word.at_cycle);
+            }
+        } else {
+            // Clearing a retry record only matters if one exists: skip
+            // the hash on the (overwhelmingly common) clean read when no
+            // retries are outstanding at all.
+            if !self.attempts.is_empty() {
+                self.attempts.remove(&(txn.0, element));
+            }
+            txns.deposit(txn, element, word.data, word.at_cycle);
+        }
+    }
 }
 
 /// The bank's first-hit logic: a single PLA for word interleave, or
@@ -223,7 +276,7 @@ impl BcStats {
 /// which replays a cloned controller cycle-by-cycle across every
 /// window the event loop is about to skip.
 #[derive(Debug, Clone)]
-pub struct BankController {
+pub(crate) struct BankController {
     bank: BankId,
     config: PvaConfig,
     hit_logic: HitLogic,
@@ -346,11 +399,6 @@ impl BankController {
                 row,
             });
         }
-    }
-
-    /// The bank this controller serves.
-    pub const fn bank(&self) -> BankId {
-        self.bank
     }
 
     /// Statistics so far.
@@ -619,46 +667,6 @@ impl BankController {
         // 5. Clock the device.
         self.device.tick();
         did_work
-    }
-
-    /// Routes one word of a READ burst at its CAS issue: deposit it,
-    /// tagged with its return cycle, or schedule a retry if poisoned.
-    /// Poisoned words (ECC-uncorrectable or hard-failed bank) are
-    /// retried with exponential backoff from their return cycle up to
-    /// the configured bound, then deposited flagged so the transaction
-    /// still completes.
-    fn route_read(&mut self, word: sdram::ReadReturn, txns: &mut TransactionTable) {
-        let (txn, element) = untag(word.tag);
-        if word.poisoned {
-            let key = (txn.0, element);
-            let attempts = self.retry_attempts.get(&key).copied().unwrap_or(0);
-            if attempts < self.config.max_read_retries {
-                let (base, stride) = self.vec_meta[txn.0 as usize];
-                let backoff =
-                    (self.config.retry_backoff_cycles as u64) << attempts.min(MAX_BACKOFF_SHIFT);
-                self.retry_attempts.insert(key, attempts + 1);
-                let retry = PendingRetry {
-                    txn,
-                    element,
-                    addr: base + stride * element,
-                    not_before: word.at_cycle + backoff,
-                };
-                self.returning.push_back((word.at_cycle, retry));
-                self.stats.read_retries += 1;
-            } else {
-                self.retry_attempts.remove(&key);
-                self.stats.retries_exhausted += 1;
-                txns.deposit_faulted(txn, element, word.data, word.at_cycle);
-            }
-        } else {
-            // Clearing a retry record only matters if one exists: skip
-            // the hash on the (overwhelmingly common) clean read when no
-            // retries are outstanding at all.
-            if !self.retry_attempts.is_empty() {
-                self.retry_attempts.remove(&(txn.0, element));
-            }
-            txns.deposit(txn, element, word.data, word.at_cycle);
-        }
     }
 
     /// The wake hint produced by the last tick: `cycle` is the earliest
@@ -1198,8 +1206,21 @@ impl BankController {
                     .expect("write context carries its line")[e as usize],
             };
         }
+        // A READ hands its words back at the CAS, each tagged with the
+        // cycle it reaches the pins, and each goes straight to the
+        // transaction table.
         let issued = match kind {
-            OpKind::Read => self.device.issue_read_burst(ib, auto, items),
+            OpKind::Read => {
+                let mut router = ReadRouter {
+                    attempts: &mut self.retry_attempts,
+                    returning: &mut self.returning,
+                    stats: &mut self.stats,
+                    vec_meta: &self.vec_meta,
+                    config: &self.config,
+                };
+                self.device
+                    .issue_read_burst(ib, auto, items, |word| router.route(word, txns))
+            }
             OpKind::Write => self.device.issue_write_burst(ib, auto, items),
         }
         .is_ok();
@@ -1237,12 +1258,6 @@ impl BankController {
             OpKind::Read => {
                 self.stats.elements_read += k;
                 self.log_op(class, ib, row);
-                // The device read the burst at issue: hand its words to
-                // the transaction table now, each tagged with the cycle
-                // it reaches the pins.
-                while let Some(word) = self.device.take_in_flight() {
-                    self.route_read(word, txns);
-                }
             }
             OpKind::Write => {
                 self.stats.elements_written += k;

@@ -75,6 +75,8 @@ pub fn run_indirect_gather(
         }
         let mut dev = Sdram::new(config.sdram);
         let mut cycles = 0u64;
+        // Cycle the bank's last word reaches the pins.
+        let mut last_word_at = 0u64;
         for &elem in &claims {
             let addr = iv.element(elem);
             let local = g.bank_local_addr(addr);
@@ -82,13 +84,11 @@ pub fn run_indirect_gather(
             // Open the right row if needed, waiting out timers.
             loop {
                 if dev.open_row(ia.bank) == Some(ia.row) {
-                    let cmd = SdramCmd::Read {
-                        bank: ia.bank,
-                        col: ia.col,
-                        auto_precharge: false,
-                        tag: elem,
-                    };
-                    if dev.issue(cmd).is_ok() {
+                    let read = dev.issue_read_burst(ia.bank, false, &[(ia.col, elem)], |w| {
+                        data[w.tag as usize] = w.data;
+                        last_word_at = last_word_at.max(w.at_cycle);
+                    });
+                    if read.is_ok() {
                         dev.tick();
                         cycles += 1;
                         break;
@@ -105,15 +105,10 @@ pub fn run_indirect_gather(
                 cycles += 1;
             }
         }
-        // Drain the CAS pipeline.
-        while dev.has_in_flight() {
-            dev.tick();
-            cycles += 1;
-            while let Some(r) = dev.pop_ready() {
-                data[r.tag as usize] = r.data;
-            }
-        }
-        phase2_cycles = phase2_cycles.max(cycles);
+        // The bank is done when its last word reaches the pins, and at
+        // the earliest two clocks after its last CAS (`cycles` already
+        // counts the first).
+        phase2_cycles = phase2_cycles.max((cycles + 1).max(last_word_at));
     }
 
     let stage_cycles = iv.length().div_ceil(config.stage_words_per_cycle);

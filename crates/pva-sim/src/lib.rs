@@ -43,7 +43,7 @@ mod txn;
 mod unit;
 mod vcd;
 
-pub use bank_controller::{BankController, BcStats};
+pub use bank_controller::BcStats;
 pub use command::{Completion, HostRequest, OpKind, TxnId, VectorCommand};
 pub use complexity::{unit_complexity, ComplexityReport, ModuleComplexity};
 pub use config::{

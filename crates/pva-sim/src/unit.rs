@@ -254,20 +254,7 @@ impl PvaUnit {
     pub fn run(&mut self, requests: Vec<HostRequest>) -> Result<RunResult, PvaError> {
         // Validate the whole batch before accepting any of it.
         for r in &requests {
-            if r.vector().length() > self.config.line_words {
-                return Err(PvaError::VectorTooLong(
-                    r.vector().length(),
-                    self.config.line_words,
-                ));
-            }
-            if let HostRequest::Write { vector, data } = r {
-                if data.len() as u64 != vector.length() {
-                    return Err(PvaError::WriteLineMismatch {
-                        expected: vector.length(),
-                        got: data.len() as u64,
-                    });
-                }
-            }
+            self.check_request(r)?;
         }
         for r in requests {
             self.submit(r)?;
@@ -353,24 +340,30 @@ impl PvaUnit {
     /// hardware line length, or [`PvaError::WriteLineMismatch`] if a
     /// write's data is not one word per element.
     pub fn submit(&mut self, request: HostRequest) -> Result<usize, PvaError> {
-        if request.vector().length() > self.config.line_words {
-            return Err(PvaError::VectorTooLong(
-                request.vector().length(),
-                self.config.line_words,
-            ));
-        }
-        if let HostRequest::Write { vector, data } = &request {
-            if data.len() as u64 != vector.length() {
-                return Err(PvaError::WriteLineMismatch {
-                    expected: vector.length(),
-                    got: data.len() as u64,
-                });
-            }
-        }
+        self.check_request(&request)?;
         let index = self.total_requests;
         self.pending.push_back((index, request));
         self.total_requests += 1;
         Ok(index)
+    }
+
+    /// The checks [`submit`](PvaUnit::submit) and [`run`](PvaUnit::run)
+    /// make before accepting `request`: it fits the hardware line, and
+    /// a write carries one data word per element.
+    fn check_request(&self, request: &HostRequest) -> Result<(), PvaError> {
+        let length = request.vector().length();
+        if length > self.config.line_words {
+            return Err(PvaError::VectorTooLong(length, self.config.line_words));
+        }
+        if let HostRequest::Write { data, .. } = request {
+            if data.len() as u64 != length {
+                return Err(PvaError::WriteLineMismatch {
+                    expected: length,
+                    got: data.len() as u64,
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Advances the unit one clock cycle (incremental API).

@@ -190,6 +190,22 @@ fn vector_longer_than_line_is_rejected() {
 }
 
 #[test]
+fn batch_with_a_bad_last_request_accepts_none_of_it() {
+    let mut unit = PvaUnit::new(PvaConfig::default()).unwrap();
+    let ok = Vector::new(0, 1, 32).unwrap();
+    let too_long = Vector::new(0, 1, 33).unwrap();
+    let err = unit
+        .run(vec![
+            HostRequest::Read { vector: ok },
+            HostRequest::Read { vector: too_long },
+        ])
+        .unwrap_err();
+    assert_eq!(err, pva_core::PvaError::VectorTooLong(33, 32));
+    assert_eq!(unit.outstanding(), 0, "no request of the batch is queued");
+    assert_eq!(unit.now(), 0, "the unit never ran");
+}
+
+#[test]
 fn write_with_wrong_line_length_is_rejected() {
     let mut unit = PvaUnit::new(PvaConfig::default()).unwrap();
     let v = Vector::new(0, 1, 32).unwrap();

@@ -22,8 +22,6 @@
 //! misbehaviour — the auditor in [`crate::audit`] cross-checks this in
 //! tests.
 
-use std::collections::VecDeque;
-
 use pva_core::FastMap;
 
 use crate::config::{ConfigError, SdramConfig};
@@ -160,14 +158,14 @@ impl core::fmt::Display for IssueError {
 
 impl std::error::Error for IssueError {}
 
-/// Data word returned by a completed READ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Data word of a READ, handed to the caller at the CAS that reads it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadReturn {
     /// The tag supplied with the READ command.
     pub tag: u64,
     /// The word read.
     pub data: u64,
-    /// Cycle at which the data appeared on the device pins.
+    /// Cycle at which the data reaches the device pins.
     pub at_cycle: u64,
     /// The data is known bad: the read hit a hard-failed bank, or ECC
     /// detected an uncorrectable error. Consumers must not commit it.
@@ -302,12 +300,11 @@ impl Page {
 /// // tRCD = 2: the READ becomes legal two cycles later.
 /// dev.tick();
 /// dev.tick();
-/// dev.issue(SdramCmd::Read { bank: 0, col: 7, auto_precharge: false, tag: 42 })?;
-/// dev.tick();
-/// dev.tick(); // CAS latency 2
-/// let data = dev.pop_ready().expect("the read is on the pins");
-/// assert_eq!(data.tag, 42);
-/// assert!(dev.pop_ready().is_none());
+/// // The READ hands its word back at the CAS, stamped with the cycle
+/// // it reaches the pins: CAS latency 2 later.
+/// let mut words = Vec::new();
+/// dev.issue_read_burst(0, false, &[(7, 42)], |w| words.push(w))?;
+/// assert_eq!((words[0].tag, words[0].at_cycle), (42, dev.now() + 2));
 /// # Ok::<(), sdram::IssueError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -334,8 +331,6 @@ pub struct Sdram {
     last_refresh_at: u64,
     /// Deterministic fault injector.
     faults: FaultEngine,
-    /// Reads in flight: (ready_at, tag, data), ordered by ready_at.
-    in_flight: VecDeque<ReadReturn>,
     now: u64,
     issued_this_cycle: bool,
     /// Remaining cycles of an in-progress AUTO REFRESH.
@@ -387,7 +382,6 @@ impl Sdram {
             row_restore: FastMap::default(),
             last_refresh_at: 0,
             faults: FaultEngine::new(config.fault),
-            in_flight: VecDeque::new(),
             now: 0,
             issued_this_cycle: false,
             refresh_busy: 0,
@@ -605,7 +599,8 @@ impl Sdram {
         self.note_armed(until);
     }
 
-    /// Issues `cmd` at the current clock edge.
+    /// Issues `cmd` at the current clock edge. A READ's word is dropped;
+    /// [`Sdram::issue_read_burst`] hands it to the caller.
     ///
     /// # Errors
     ///
@@ -618,7 +613,7 @@ impl Sdram {
                 col,
                 auto_precharge,
                 tag,
-            } => return self.issue_read_burst(bank, auto_precharge, &[(col, tag)]),
+            } => return self.issue_read_burst(bank, auto_precharge, &[(col, tag)], |_| {}),
             SdramCmd::Write {
                 bank,
                 col,
@@ -683,10 +678,12 @@ impl Sdram {
     ///
     /// Legality is exactly that of a single READ at `items[0]` (the
     /// burst occupies one command-bus slot and arms the channel's tCCD
-    /// gates once); each word is read through the fault and ECC layers
-    /// and lands `j / data_rate` beats after the first word's CAS
-    /// latency. [`Sdram::issue`] sends a single READ here as a one-word
-    /// burst. Counts as one `reads` command in [`SdramStats`].
+    /// gates once). Each word is read through the fault and ECC layers
+    /// at the CAS and handed to `deliver`, in `items` order, stamped
+    /// with the cycle it reaches the pins: `j / data_rate` beats after
+    /// the first word's CAS latency. The device keeps no read queue.
+    /// [`Sdram::issue`] sends a single READ here as a one-word burst.
+    /// Counts as one `reads` command in [`SdramStats`].
     ///
     /// # Errors
     ///
@@ -702,6 +699,7 @@ impl Sdram {
         bank: u32,
         auto_precharge: bool,
         items: &[(u64, u64)],
+        mut deliver: impl FnMut(ReadReturn),
     ) -> Result<(), IssueError> {
         debug_assert!(!items.is_empty(), "a burst carries at least one word");
         debug_assert!(
@@ -729,30 +727,12 @@ impl Sdram {
             for &(col, tag) in words {
                 let local = self.local_addr(bank, row, col);
                 let (data, poisoned) = self.read_word(bank, local);
-                let ready = ReadReturn {
+                deliver(ReadReturn {
                     tag,
                     data,
                     at_cycle: first + beat as u64,
                     poisoned,
-                };
-                // Keep the queue ordered by completion time. With one
-                // command per cycle and a constant CAS latency the new
-                // return lands at the back; the scan only runs in the
-                // (config-dependent) general case.
-                if self
-                    .in_flight
-                    .back()
-                    .is_none_or(|r| r.at_cycle <= ready.at_cycle)
-                {
-                    self.in_flight.push_back(ready);
-                } else {
-                    let pos = self
-                        .in_flight
-                        .iter()
-                        .position(|r| r.at_cycle > ready.at_cycle)
-                        .unwrap_or(self.in_flight.len());
-                    self.in_flight.insert(pos, ready);
-                }
+                });
             }
         }
         self.stats.reads += 1;
@@ -983,25 +963,12 @@ impl Sdram {
         wake
     }
 
-    /// Removes and returns the earliest read whose data is on the pins
-    /// at or before the current cycle; call it in a loop to drain every
-    /// ready read.
-    pub fn pop_ready(&mut self) -> Option<ReadReturn> {
-        match self.in_flight.front() {
-            Some(front) if front.at_cycle <= self.now => self.in_flight.pop_front(),
-            _ => None,
-        }
-    }
-
-    /// Whether the device is fully at rest: no in-flight data, no
-    /// running or due refresh, and every restimer expired. A quiet
-    /// device cannot change state on its own except for the periodic
-    /// refresh deadline, which [`Sdram::next_refresh_wake`] reports.
+    /// Whether the device is fully at rest: no running or due refresh,
+    /// and every restimer expired. A quiet device cannot change state
+    /// on its own except for the periodic refresh deadline, which
+    /// [`Sdram::next_refresh_wake`] reports.
     pub fn quiet(&self) -> bool {
-        self.now >= self.timer_deadline
-            && self.in_flight.is_empty()
-            && self.refresh_busy == 0
-            && !self.refresh_due()
+        self.now >= self.timer_deadline && self.refresh_busy == 0 && !self.refresh_due()
     }
 
     /// Whether a periodic refresh is due (`refresh_interval` elapsed
@@ -1014,19 +981,6 @@ impl Sdram {
     /// Whether an AUTO REFRESH is currently occupying the device.
     pub const fn refresh_in_progress(&self) -> bool {
         self.refresh_busy > 0
-    }
-
-    /// Removes and returns the oldest in-flight read whatever its
-    /// return cycle: the word's data and `at_cycle` are fixed when its
-    /// CAS issues, so a consumer that tracks the return cycle itself
-    /// can take the burst at issue instead of polling the pins.
-    pub fn take_in_flight(&mut self) -> Option<ReadReturn> {
-        self.in_flight.pop_front()
-    }
-
-    /// Whether any read data is still in flight.
-    pub fn has_in_flight(&self) -> bool {
-        !self.in_flight.is_empty()
     }
 
     /// Storage page key and word offset of a device-local address.
@@ -1368,27 +1322,26 @@ mod tests {
         );
     }
 
+    /// Issues a one-word READ and returns the word it hands back.
+    fn read_one(d: &mut Sdram, bank: u32, col: u64, tag: u64) -> ReadReturn {
+        let mut word = None;
+        d.issue_read_burst(bank, false, &[(col, tag)], |w| word = Some(w))
+            .unwrap();
+        word.expect("a READ hands back its word")
+    }
+
     #[test]
     fn data_returns_after_cas_latency() {
         let mut d = dev();
         d.issue(SdramCmd::Activate { bank: 0, row: 1 }).unwrap();
         d.tick();
         d.tick();
-        d.issue(SdramCmd::Read {
-            bank: 0,
-            col: 3,
-            auto_precharge: false,
-            tag: 99,
-        })
-        .unwrap();
-        assert!(d.pop_ready().is_none());
-        d.tick();
-        assert!(d.pop_ready().is_none());
-        d.tick();
-        let ready = d.pop_ready().expect("data after CL");
+        let cas = d.now();
+        let ready = read_one(&mut d, 0, 3, 99);
+        assert_eq!(ready.at_cycle, cas + 2, "CAS latency 2");
         assert_eq!(ready.tag, 99);
         assert_eq!(ready.data, d.peek(d.local_addr(0, 1, 3)));
-        assert!(!d.has_in_flight());
+        assert!(!ready.poisoned);
     }
 
     #[test]
@@ -1405,16 +1358,7 @@ mod tests {
         })
         .unwrap();
         d.tick();
-        d.issue(SdramCmd::Read {
-            bank: 3,
-            col: 11,
-            auto_precharge: false,
-            tag: 1,
-        })
-        .unwrap();
-        d.tick();
-        d.tick();
-        assert_eq!(d.pop_ready().unwrap().data, 0xDEAD);
+        assert_eq!(read_one(&mut d, 3, 11, 1).data, 0xDEAD);
     }
 
     #[test]
@@ -1472,69 +1416,12 @@ mod tests {
     }
 
     #[test]
-    fn reads_return_in_issue_order() {
-        let mut d = dev();
-        d.issue(SdramCmd::Activate { bank: 0, row: 0 }).unwrap();
-        d.tick();
-        d.tick();
-        for i in 0..4u64 {
-            d.issue(SdramCmd::Read {
-                bank: 0,
-                col: i,
-                auto_precharge: false,
-                tag: i,
-            })
-            .unwrap();
-            d.tick();
-        }
-        d.tick();
-        d.tick();
-        let tags: Vec<u64> = std::iter::from_fn(|| d.pop_ready())
-            .map(|r| r.tag)
-            .collect();
-        assert_eq!(tags, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
     fn local_addr_inverts_map() {
         let d = dev();
         for a in [0u64, 1, 511, 512, 4096, 123_456] {
             let ia = d.config().map(a);
             assert_eq!(d.local_addr(ia.bank, ia.row, ia.col), a);
         }
-    }
-
-    #[test]
-    fn advance_matches_repeated_tick() {
-        // Same command history, one device bulk-advanced, one ticked.
-        let mut a = dev();
-        let mut b = dev();
-        for d in [&mut a, &mut b] {
-            d.issue(SdramCmd::Activate { bank: 0, row: 1 }).unwrap();
-        }
-        a.advance(6);
-        for _ in 0..6 {
-            b.tick();
-        }
-        assert_eq!(a.now(), b.now());
-        assert_eq!(a.bank_state(0), b.bank_state(0));
-        for d in [&mut a, &mut b] {
-            d.issue(SdramCmd::Read {
-                bank: 0,
-                col: 0,
-                auto_precharge: false,
-                tag: 7,
-            })
-            .unwrap();
-        }
-        a.advance(2);
-        for _ in 0..2 {
-            b.tick();
-        }
-        let ready = a.pop_ready();
-        assert!(ready.is_some());
-        assert_eq!(ready, b.pop_ready());
-        assert!(!a.has_in_flight() && !b.has_in_flight());
     }
 
     #[test]

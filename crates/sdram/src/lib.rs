@@ -35,7 +35,11 @@
 //! dev.issue(SdramCmd::Activate { bank: 1, row: 20 })?;
 //! dev.tick();
 //! // ...bank 0 is already ready to read while bank 1 finishes opening.
-//! dev.issue(SdramCmd::Read { bank: 0, col: 0, auto_precharge: false, tag: 7 })?;
+//! // The READ hands its word back at the CAS, stamped with the cycle it
+//! // reaches the pins.
+//! let mut words = Vec::new();
+//! dev.issue_read_burst(0, false, &[(0, 7)], |w| words.push(w))?;
+//! assert_eq!((words[0].tag, words[0].at_cycle), (7, dev.now() + 2));
 //! # Ok::<(), sdram::IssueError>(())
 //! ```
 

@@ -190,14 +190,11 @@ fn read_burst_staggers_beats_on_the_data_rate() {
     open_rows(&mut d, &[0]);
     let items: Vec<(u64, u64)> = (0..8).map(|j| (j, 100 + j)).collect();
     let issued_at = d.now();
-    d.issue_read_burst(0, false, &items).unwrap();
+    let mut got = Vec::new();
+    d.issue_read_burst(0, false, &items, |r| got.push((r.tag, r.at_cycle)))
+        .unwrap();
     assert_eq!(d.stats().reads, 1, "a burst counts as one CAS");
     let t_cas = u64::from(d.config().t_cas);
-    tick_to(&mut d, issued_at + t_cas + 4);
-    let mut got = Vec::new();
-    while let Some(r) = d.pop_ready() {
-        got.push((r.tag, r.at_cycle));
-    }
     assert_eq!(got.len(), 8, "every burst beat returns");
     for (j, &(tag, at)) in got.iter().enumerate() {
         assert_eq!(tag, 100 + j as u64, "beats return in column order");
@@ -221,20 +218,10 @@ fn write_burst_round_trips_through_single_reads() {
     for (col, data) in items {
         let ready = d.access_ready_at(0).max(d.now());
         tick_to(&mut d, ready);
-        d.issue(SdramCmd::Read {
-            bank: 0,
-            col,
-            auto_precharge: false,
-            tag: col,
-        })
-        .unwrap();
-        let r = loop {
-            if let Some(r) = d.pop_ready() {
-                break r;
-            }
-            d.tick();
-        };
-        assert_eq!(r.data, data, "column {col} holds the burst word");
+        let mut word = None;
+        d.issue_read_burst(0, false, &[(col, col)], |r| word = Some(r.data))
+            .unwrap();
+        assert_eq!(word, Some(data), "column {col} holds the burst word");
         d.tick();
     }
 }

@@ -8,16 +8,18 @@ fn timed_read(d: &mut Sdram, bank: u32, row: u64, col: u64) -> sdram::ReadReturn
     d.issue(SdramCmd::Activate { bank, row }).unwrap();
     d.tick();
     d.tick();
-    d.issue(SdramCmd::Read {
-        bank,
-        col,
-        auto_precharge: false,
-        tag: 7,
-    })
-    .unwrap();
+    read_open(d, bank, col)
+}
+
+/// Reads `col` of `bank`'s open row and waits out the CAS latency,
+/// returning the word the READ hands back.
+fn read_open(d: &mut Sdram, bank: u32, col: u64) -> sdram::ReadReturn {
+    let mut word = None;
+    d.issue_read_burst(bank, false, &[(col, 7)], |w| word = Some(w))
+        .unwrap();
     d.tick();
     d.tick();
-    d.pop_ready().expect("read data ready")
+    word.expect("a READ hands back its word")
 }
 
 fn cfg_with(fault: FaultConfig, ecc: bool) -> SdramConfig {
@@ -151,16 +153,7 @@ fn hard_failed_bank_poisons_reads_and_drops_writes() {
     })
     .unwrap();
     d.tick();
-    d.issue(SdramCmd::Read {
-        bank: 1,
-        col: 0,
-        auto_precharge: false,
-        tag: 3,
-    })
-    .unwrap();
-    d.tick();
-    d.tick();
-    let r = d.pop_ready().unwrap();
+    let r = read_open(&mut d, 1, 0);
     assert!(r.poisoned, "reads from a dead bank are flagged");
     assert_eq!(d.stats().dropped_writes, 1);
     assert_eq!(d.stats().detected_uncorrectable, 1);

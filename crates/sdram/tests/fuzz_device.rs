@@ -59,7 +59,6 @@ fn drive(seed: u64, steps: u32, cfg: SdramConfig) -> (TimingAuditor, Vec<(u64, u
             dev.issue(SdramCmd::Nop).expect("nop always legal");
         }
         dev.tick();
-        while dev.pop_ready().is_some() {}
     }
     (audit, writes, dev)
 }
@@ -127,22 +126,15 @@ fn back_to_back_reads_stream_every_cycle() {
     dev.tick();
     dev.tick();
     let start = dev.now();
-    for i in 0..16u64 {
-        dev.issue(SdramCmd::Read {
-            bank: 0,
-            col: i,
-            auto_precharge: false,
-            tag: i,
-        })
-        .unwrap();
-        dev.tick();
-    }
     let mut got = Vec::new();
-    while dev.has_in_flight() {
+    for i in 0..16u64 {
+        dev.issue_read_burst(0, false, &[(i, i)], |w| got.push(w))
+            .unwrap();
         dev.tick();
-        got.extend(std::iter::from_fn(|| dev.pop_ready()));
     }
     assert_eq!(got.len(), 16);
+    // One word reaches the pins every cycle, in issue order.
+    assert!(got.windows(2).all(|w| w[1].at_cycle == w[0].at_cycle + 1));
     let last = got.last().unwrap().at_cycle;
     assert_eq!(last - start, 15 + cfg.t_cas as u64);
 }

@@ -108,16 +108,18 @@ fn read_row0(d: &mut Sdram, row: u64) -> u64 {
     d.issue(SdramCmd::Activate { bank: 0, row }).unwrap();
     d.tick();
     d.tick();
-    d.issue(SdramCmd::Read {
-        bank: 0,
-        col: 0,
-        auto_precharge: false,
-        tag: 0,
-    })
-    .unwrap();
+    read_col0(d)
+}
+
+/// Reads column 0 of bank 0's open row and waits out the CAS latency,
+/// returning the word's data.
+fn read_col0(d: &mut Sdram) -> u64 {
+    let mut data = None;
+    d.issue_read_burst(0, false, &[(0, 0)], |w| data = Some(w.data))
+        .unwrap();
     d.tick();
     d.tick();
-    d.pop_ready().expect("read data ready").data
+    data.expect("a READ hands back its word")
 }
 
 #[test]
@@ -203,16 +205,7 @@ fn rewrite_recharges_a_decayed_word() {
     })
     .unwrap();
     d.tick();
-    d.issue(SdramCmd::Read {
-        bank: 0,
-        col: 0,
-        auto_precharge: false,
-        tag: 1,
-    })
-    .unwrap();
-    d.tick();
-    d.tick();
-    assert_eq!(d.pop_ready().unwrap().data, 0x1234);
+    assert_eq!(read_col0(&mut d), 0x1234);
 }
 
 #[test]

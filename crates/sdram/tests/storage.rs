@@ -4,16 +4,21 @@
 
 use sdram::{background_pattern, DevicePreset, FaultConfig, Sdram, SdramCmd, SdramConfig};
 
-/// Issues `cmd` at the first cycle the device accepts it.
-fn issue_when_legal(d: &mut Sdram, cmd: SdramCmd) {
+/// Ticks until the device accepts `cmd`.
+fn wait_until_legal(d: &mut Sdram, cmd: &SdramCmd) {
     for _ in 0..1_000 {
-        if d.can_issue(&cmd).is_ok() {
-            d.issue(cmd).unwrap();
+        if d.can_issue(cmd).is_ok() {
             return;
         }
         d.tick();
     }
     panic!("{cmd:?} never became legal");
+}
+
+/// Issues `cmd` at the first cycle the device accepts it.
+fn issue_when_legal(d: &mut Sdram, cmd: SdramCmd) {
+    wait_until_legal(d, &cmd);
+    d.issue(cmd).unwrap();
 }
 
 /// Opens the row holding device-local word `local`, writes `write` to
@@ -23,31 +28,32 @@ fn timed_access(d: &mut Sdram, local: u64, write: Option<u64>) -> Option<u64> {
     let ia = d.config().map(local);
     let (bank, col) = (ia.bank, ia.col);
     issue_when_legal(d, SdramCmd::Activate { bank, row: ia.row });
-    let cas = match write {
-        Some(data) => SdramCmd::Write {
-            bank,
-            col,
-            data,
-            auto_precharge: false,
-        },
-        None => SdramCmd::Read {
-            bank,
-            col,
-            auto_precharge: false,
-            tag: local,
-        },
-    };
-    issue_when_legal(d, cas);
-    let mut data = None;
-    if write.is_none() {
-        while data.is_none() {
-            d.tick();
-            data = d.pop_ready().map(|r| r.data);
+    let mut read = None;
+    match write {
+        Some(data) => issue_when_legal(
+            d,
+            SdramCmd::Write {
+                bank,
+                col,
+                data,
+                auto_precharge: false,
+            },
+        ),
+        None => {
+            let cmd = SdramCmd::Read {
+                bank,
+                col,
+                auto_precharge: false,
+                tag: local,
+            };
+            wait_until_legal(d, &cmd);
+            d.issue_read_burst(bank, false, &[(col, local)], |w| read = Some(w.data))
+                .unwrap();
         }
     }
     issue_when_legal(d, SdramCmd::Precharge { bank });
     d.tick();
-    data
+    read
 }
 
 fn timed_write(d: &mut Sdram, local: u64, data: u64) {

@@ -121,7 +121,6 @@ fn trace_cycle_counts_are_positive_and_scale_with_work() {
             .map(|i| TraceOp::read(Vector::new(i * 4096, 4, 32).unwrap()))
             .collect();
         let cs = sys.run_trace(&small);
-        sys.reset();
         let cl = sys.run_trace(&large);
         assert!(cl.cycles > cs.cycles, "{}", sys.name());
         assert!(
